@@ -25,6 +25,8 @@ class FlowsimComparisonResult:
     control: ScenarioResult
 
     def rows(self) -> list[dict]:
+        """One row per workload; the H columns read ``-`` when no link
+        was long enough to measure (runs under 1000 bins)."""
         rows = []
         for name, out in (("ftp", self.ftp), ("exponential", self.control)):
             s = out.summary()
@@ -33,20 +35,24 @@ class FlowsimComparisonResult:
                 "workload": name,
                 "n_flows": s["n_flows"],
                 "n_links_measured": len(hs),
-                "hurst_mean": round(out.mean_hurst, 3),
-                "hurst_min": round(min(hs), 3),
-                "hurst_max": round(max(hs), 3),
+                "hurst_mean": round(out.mean_hurst, 3) if hs else "-",
+                "hurst_min": round(min(hs), 3) if hs else "-",
+                "hurst_max": round(max(hs), 3) if hs else "-",
             })
         return rows
 
     @property
     def heavy_tail_elevated(self) -> bool:
-        """Pareto flows keep H well above 1/2 on every traversed link."""
-        return min(self.ftp.link_hurst.values()) > 0.6
+        """Pareto flows keep H well above 1/2 on every traversed link
+        (``False`` when no link was measured)."""
+        hs = self.ftp.link_hurst.values()
+        return bool(hs) and min(hs) > 0.6
 
     @property
     def control_near_half(self) -> bool:
-        return abs(self.control.mean_hurst - 0.5) < 0.1
+        """``False`` when no control link was measured."""
+        return (bool(self.control.link_hurst)
+                and abs(self.control.mean_hurst - 0.5) < 0.1)
 
     def render(self) -> str:
         table = format_table(

@@ -29,7 +29,6 @@ from .scenarios import (
 )
 from .service import MonitorConfig, MonitorReport, MonitorService, MonitorSnapshot
 from .windows import (
-    DecayedMoments,
     DecayedTopK,
     SlidingCountLadder,
     WindowedQuantileSketch,
@@ -37,7 +36,6 @@ from .windows import (
 
 __all__ = [
     "CusumDetector",
-    "DecayedMoments",
     "DecayedTopK",
     "DriftReport",
     "HurstEstimate",

@@ -1,31 +1,26 @@
-"""Windowed and exponentially-decayed variants of the ``stream.sketches``.
+"""The monitor's bounded-memory sketches, by the names it uses.
 
-The batch sketches accumulate *forever*: a :class:`~repro.stream.sketches.
-CountLadder` holds every bin since the stream began, a ``TopK`` never
-forgets a large value.  An always-on monitor instead wants the *recent*
-stream — the last ``W`` seconds, or an exponentially-decayed view — while
-keeping the two contracts that make the batch family composable:
+An always-on monitor wants the *recent* stream — the last ``W`` seconds,
+or an exponentially-decayed view — rather than everything since the
+stream began.  The ladder and the tail reservoir carry that as a
+parameter of their one implementation in :mod:`repro.stream.sketches`:
 
-* **Twin reduction.**  Every windowed sketch with ``window=inf`` (or
-  ``decay=0``) is *bit-identical* to its unbounded ``stream.sketches``
-  twin: same counts, same order statistics, same estimator outputs.  The
-  windowed family is a strict generalization, not a parallel code path
-  with its own rounding.
-* **Exact-merge algebra.**  ``merge`` stays associative and (for the
-  integer/order-statistic sketches) order-invariant, so sharded
-  collectors — N replay receivers each running a monitor — combine into
-  the same windowed state as one receiver seeing the whole stream.
-  Windowing commutes with merging because eviction depends only on the
-  *merged* maximum event time, which is itself order-invariant, and each
-  shard's own evictions are always a subset of the merged eviction.
+* :data:`SlidingCountLadder` is :class:`~repro.stream.sketches.CountLadder`
+  (pass a finite ``window``: bins behind it are evicted);
+* :data:`DecayedTopK` is :class:`~repro.stream.sketches.TopK` (pass
+  ``decay > 0`` with event times: items age out).
 
-Decay semantics: a decayed sketch stores raw ``(value, event-time)``
-pairs and derives weights ``exp(-decay * (now - t))`` *lazily* at query
-time, with the effective sample count ``n_eff`` carried as a
-``(mass, reference-time)`` pair.  Storing times instead of pre-decayed
-weights is what makes the merge order-invariant: the union of two shards'
-pairs is a set, and every weight is a pure function of the pair and the
-merged clock.
+Only the quantile sketch needs its own wrapper here:
+:class:`WindowedQuantileSketch` panes the window into whole
+:class:`~repro.stream.sketches.QuantileSketch` instances, since a
+compactor cannot forget individual items.
+
+Every sketch keeps the exact-merge algebra, so sharded collectors — N
+replay receivers each running a monitor — combine into the same windowed
+state as one receiver seeing the whole stream.  Windowing commutes with
+merging because eviction depends only on the *merged* maximum event
+time, which is itself order-invariant, and each shard's own evictions
+are always a subset of the merged eviction.
 """
 
 from __future__ import annotations
@@ -34,516 +29,17 @@ import math
 
 import numpy as np
 
-from repro.selfsim.counts import CountProcess
-from repro.utils.binning import bin_edges
+from repro.stream.sketches import CountLadder, QuantileSketch, TopK
 from repro.utils.validation import require_positive
 
 __all__ = [
-    "DecayedMoments",
     "DecayedTopK",
     "SlidingCountLadder",
     "WindowedQuantileSketch",
 ]
 
-
-# ----------------------------------------------------------------------
-# sliding count ladder
-# ----------------------------------------------------------------------
-class SlidingCountLadder:
-    """Ring-buffered :class:`~repro.stream.sketches.CountLadder` over the
-    last ``window`` seconds.
-
-    Bins are indexed *absolutely* (bin ``j`` covers ``[start + j*w,
-    start + (j+1)*w)``) and the buffer retains the trailing
-    ``ceil(window / bin_width)`` bins ending at the bin holding the
-    largest event time seen.  Bins that slide out of the window are
-    *evicted* — their events move from :attr:`n_events` to
-    :attr:`evicted_events` — so memory is ``O(window / bin_width)``,
-    independent of stream length.  ``window=inf`` never evicts and is
-    bit-identical to the open-mode ``CountLadder`` (same edge arithmetic,
-    same closed-right final bin, same trailing-partial-bin drop).
-
-    Events older than the retained window (stragglers from a slow shard)
-    are dropped and counted in :attr:`late_events` rather than silently
-    mis-binned.
-    """
-
-    def __init__(
-        self,
-        bin_width: float,
-        *,
-        start: float = 0.0,
-        window: float = math.inf,
-        weighted: bool = False,
-    ):
-        require_positive(bin_width, "bin_width")
-        require_positive(window, "window")
-        self.bin_width = float(bin_width)
-        self.start = float(start)
-        self.window = float(window)
-        self.weighted = bool(weighted)
-        #: Retained trailing bins; ``None`` means never evict.
-        self.window_bins = (
-            None if math.isinf(self.window)
-            else max(int(math.ceil(self.window / self.bin_width)), 1)
-        )
-        dtype = float if weighted else np.int64
-        self.offset = 0  # absolute index of counts[0]
-        self.counts = np.zeros(64, dtype=dtype)
-        # Events sitting exactly on their slot's left edge (see
-        # CountLadder: needed to fold the closed-right final edge).
-        self._edge_hits = np.zeros(64, dtype=dtype)
-        self.n_events = 0        # events (or weight) in retained bins
-        self.evicted_events = 0  # slid out of the window
-        self.late_events = 0     # arrived behind the retained window
-        self.max_time = -np.inf
-        self._idx_max = -1       # absolute bin index holding max_time
-
-    # -- geometry ------------------------------------------------------
-    def _local_edges(self, n_local: int) -> np.ndarray:
-        """Edges for retained bins ``offset .. offset + n_local``.
-
-        Element ``j`` is ``start + bin_width * (offset + j)`` — the same
-        float product ``CountLadder._make_edges`` produces for the
-        absolute index, so binning is bit-identical at any offset.
-        """
-        idx = np.arange(self.offset, self.offset + n_local + 1, dtype=np.int64)
-        return self.start + self.bin_width * idx
-
-    def _grow_to(self, n_local: int) -> None:
-        if n_local <= self.counts.size:
-            return
-        grown = 1 << (n_local - 1).bit_length()
-        for attr in ("counts", "_edge_hits"):
-            new = np.zeros(grown, dtype=self.counts.dtype)
-            old = getattr(self, attr)
-            new[: old.size] = old
-            setattr(self, attr, new)
-
-    def _evict(self) -> None:
-        if self.window_bins is None:
-            return
-        cutoff = self._idx_max - self.window_bins + 1
-        if cutoff <= self.offset:
-            return
-        drop = cutoff - self.offset
-        gone = self.counts[:drop].sum()
-        self.evicted_events += int(gone) if not self.weighted else float(gone)
-        self.n_events -= int(gone) if not self.weighted else float(gone)
-        # Trim trailing growth slack too: a single wide batch can have
-        # grown the buffer far past the window, and retaining that tail
-        # would leak O(batch span) instead of O(window).  Live local
-        # indices run up to ``_idx_max - cutoff`` plus one final-edge
-        # slot read by ``finalize``.
-        live = self._idx_max - cutoff + 2
-        cap = max(64, 1 << (live - 1).bit_length())
-        self.counts = self.counts[drop:drop + cap].copy()
-        self._edge_hits = self._edge_hits[drop:drop + cap].copy()
-        self.offset = cutoff
-
-    # -- updates -------------------------------------------------------
-    def update(self, times, weights=None) -> None:
-        arr = np.asarray(times, dtype=float)
-        if arr.size == 0:
-            return
-        if self.weighted:
-            if weights is None:
-                raise ValueError("weighted ladder requires weights")
-            w = np.asarray(weights, dtype=float)
-        else:
-            if weights is not None:
-                raise ValueError("unweighted ladder got weights")
-            w = None
-        hi = float(arr.max())
-        if hi > self.max_time:
-            self.max_time = hi
-        needed = int(np.floor((hi - self.start) / self.bin_width)) + 2
-        n_local = needed - self.offset
-        if n_local > 0:
-            self._grow_to(n_local)
-        edges = self._local_edges(self.counts.size - 1)
-        idx = np.searchsorted(edges, arr, side="right") - 1
-        valid = idx >= 0  # before ``start``, or behind the retained window
-        if not np.all(valid):
-            behind = arr[~valid] >= self.start
-            self.late_events += int(np.count_nonzero(behind))
-        idx = idx[valid]
-        vals = arr[valid]
-        wv = None if w is None else w[valid]
-        if idx.size:
-            self._idx_max = max(self._idx_max, self.offset + int(idx.max()))
-        on_edge = vals == edges[idx]
-        if self.weighted:
-            self.n_events += float(wv.sum())
-            self.counts += np.bincount(idx, weights=wv,
-                                       minlength=self.counts.size)
-            if np.any(on_edge):
-                self._edge_hits += np.bincount(
-                    idx[on_edge], weights=wv[on_edge],
-                    minlength=self.counts.size,
-                )
-        else:
-            self.n_events += int(idx.size)
-            self.counts += np.bincount(idx, minlength=self.counts.size)
-            if np.any(on_edge):
-                self._edge_hits += np.bincount(
-                    idx[on_edge], minlength=self.counts.size
-                )
-        self._evict()
-
-    # -- merge ---------------------------------------------------------
-    def merge(self, other: "SlidingCountLadder") -> None:
-        if (other.bin_width != self.bin_width or other.start != self.start
-                or other.window != self.window
-                or other.weighted != self.weighted):
-            raise ValueError("cannot merge ladders with different layouts")
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + self.counts.size,
-                 other.offset + other.counts.size)
-        dtype = self.counts.dtype
-        counts = np.zeros(hi - lo, dtype=dtype)
-        edge_hits = np.zeros(hi - lo, dtype=dtype)
-        for part in (self, other):
-            sl = slice(part.offset - lo, part.offset - lo + part.counts.size)
-            counts[sl] += part.counts
-            edge_hits[sl] += part._edge_hits
-        self.offset = lo
-        self.counts = counts
-        self._edge_hits = edge_hits
-        self.n_events += other.n_events
-        self.evicted_events += other.evicted_events
-        self.late_events += other.late_events
-        self.max_time = max(self.max_time, other.max_time)
-        self._idx_max = max(self._idx_max, other._idx_max)
-        self._evict()
-
-    # -- results -------------------------------------------------------
-    def finalize(self) -> np.ndarray:
-        """Per-bin counts over the retained whole-bin window.
-
-        Batch semantics, exactly as ``CountLadder.finalize``: the window
-        ends at the largest event time, the trailing partial bin is
-        dropped, and events sitting exactly on the final edge fold into
-        the last (closed-right) bin.
-        """
-        if self.n_events == 0 or self.max_time < self.start:
-            return self.counts[:0].copy()
-        edges = bin_edges(self.start, self.max_time, self.bin_width)
-        n_abs = len(edges) - 1
-        if n_abs < 1:
-            # Zero-span window: every event sits exactly at ``start``.
-            return self.counts[:1].copy()
-        n_local = n_abs - self.offset
-        out = self.counts[:n_local].copy()
-        if 0 < n_local < self.counts.size:
-            out[-1] += self._edge_hits[n_local]
-        return out
-
-    def window_counts(self) -> np.ndarray:
-        """The last ``<= window_bins`` whole bins (all bins at inf)."""
-        full = self.finalize()
-        if self.window_bins is None or full.size <= self.window_bins:
-            return full
-        return full[-self.window_bins:]
-
-    def window_process(self) -> CountProcess:
-        return CountProcess(self.window_counts(), self.bin_width)
-
-    def window_bounds(self) -> tuple[float, float]:
-        """``[t_lo, t_hi)`` edges of :meth:`window_counts`'s bins, so a
-        batch path can rebuild the identical window from raw times."""
-        full = self.finalize()
-        n = full.size
-        if self.window_bins is not None:
-            n = min(n, self.window_bins)
-        first = self.offset + (full.size - n)
-        lo = self.start + self.bin_width * first
-        hi = self.start + self.bin_width * (first + n)
-        return float(lo), float(hi)
-
-    def as_count_process(self) -> CountProcess:
-        return CountProcess(self.finalize(), self.bin_width)
-
-    @property
-    def total_events(self):
-        """All in-range events ever accumulated (retained + evicted)."""
-        return self.n_events + self.evicted_events
-
-    @property
-    def nbytes(self) -> int:
-        return (int(self.counts.nbytes) + int(self._edge_hits.nbytes) + 64)
-
-
-# ----------------------------------------------------------------------
-# exponentially-decayed moments
-# ----------------------------------------------------------------------
-class DecayedMoments:
-    """Time-decayed Welford-Chan moments.
-
-    Existing mass is scaled by ``exp(-decay * dt)`` whenever the clock
-    advances, then the new batch (treated as a point mass at its own
-    ``now``) folds in through the same weighted Chan combination the
-    unbounded :class:`~repro.stream.sketches.StreamingMoments` uses —
-    with ``decay=0`` every scale factor is exactly ``1.0`` and the
-    arithmetic is bit-identical to the twin.  ``min``/``max`` are
-    all-time extremes (extremes cannot be decayed without a window).
-    """
-
-    __slots__ = ("decay", "n", "mean", "m2", "min", "max", "total", "t_ref")
-
-    def __init__(self, decay: float = 0.0):
-        if decay < 0:
-            raise ValueError(f"decay must be >= 0, got {decay}")
-        self.decay = float(decay)
-        self.n = 0.0          # effective (decayed) count
-        self.mean = 0.0
-        self.m2 = 0.0
-        self.min = np.inf
-        self.max = -np.inf
-        self.total = 0.0      # decayed sum
-        self.t_ref = -np.inf  # clock the decayed mass is referenced to
-
-    def _advance(self, now: float) -> None:
-        if now <= self.t_ref:
-            return
-        if self.n:
-            scale = math.exp(-self.decay * (now - self.t_ref))
-            self.n *= scale
-            self.m2 *= scale
-            self.total *= scale
-        self.t_ref = now
-
-    def update(self, values, now: float | None = None) -> None:
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            return
-        self._advance(self.t_ref if now is None else float(now))
-        self._combine(float(arr.size), float(arr.mean()),
-                      float(((arr - arr.mean()) ** 2).sum()),
-                      float(arr.min()), float(arr.max()), float(arr.sum()))
-
-    def merge(self, other: "DecayedMoments") -> None:
-        if other.decay != self.decay:
-            raise ValueError("cannot merge moments with different decay")
-        now = max(self.t_ref, other.t_ref)
-        self._advance(now)
-        if other.n == 0:
-            return
-        scale = (math.exp(-self.decay * (now - other.t_ref))
-                 if now > other.t_ref else 1.0)
-        self._combine(other.n * scale, other.mean, other.m2 * scale,
-                      other.min, other.max, other.total * scale)
-
-    def _combine(self, n, mean, m2, lo, hi, total) -> None:
-        if n == 0:
-            return
-        if self.n == 0:
-            self.n, self.mean, self.m2 = n, mean, m2
-            self.min, self.max, self.total = lo, hi, total
-            return
-        delta = mean - self.mean
-        combined = self.n + n
-        self.m2 = self.m2 + m2 + delta * delta * (self.n * n / combined)
-        self.mean = self.mean + delta * (n / combined)
-        self.n = combined
-        self.min = min(self.min, lo)
-        self.max = max(self.max, hi)
-        self.total += total
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / self.n if self.n else 0.0
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
-    @property
-    def nbytes(self) -> int:
-        return 8 * 8
-
-    def __repr__(self):
-        return (f"DecayedMoments(decay={self.decay:g}, n_eff={self.n:.6g}, "
-                f"mean={self.mean:.6g})")
-
-
-# ----------------------------------------------------------------------
-# exponentially-decayed top-k tail reservoir
-# ----------------------------------------------------------------------
-class DecayedTopK:
-    """Top-``k`` reservoir whose items age out exponentially.
-
-    Stores ``(value, event-time)`` pairs for the ``capacity`` largest
-    values still young enough to matter; each item's weight
-    ``exp(-decay * (now - t))`` is derived lazily against the reservoir
-    clock (the largest event time seen), and the effective sample count
-    :attr:`n_eff` decays the same way.  On the ``update`` path, items
-    whose weight falls below ``weight_floor`` are evicted, so with
-    ``decay > 0`` an ancient outlier cannot dominate the current tail
-    fit forever.  ``merge`` is a pure top-k union (no age eviction), so
-    merging shards in any order yields the identical reservoir.
-
-    ``decay=0`` keeps every weight at exactly ``1.0`` and ``n_eff ==
-    n_seen``; values, Hill estimates, and :meth:`tail_fit` are then
-    bit-identical to :class:`~repro.stream.sketches.TopK`.  Merging takes
-    the union of the pairs (then re-selects the top ``capacity``), which
-    is order-invariant: weights are pure functions of the pair and the
-    merged clock.
-    """
-
-    __slots__ = ("capacity", "decay", "weight_floor", "values", "times",
-                 "n_seen", "n_eff", "t_ref")
-
-    def __init__(self, capacity: int, decay: float = 0.0,
-                 weight_floor: float = 1e-9):
-        require_positive(capacity, "capacity")
-        if decay < 0:
-            raise ValueError(f"decay must be >= 0, got {decay}")
-        if not 0.0 < weight_floor < 1.0:
-            raise ValueError(
-                f"weight_floor must be in (0, 1), got {weight_floor}"
-            )
-        self.capacity = int(capacity)
-        self.decay = float(decay)
-        self.weight_floor = float(weight_floor)
-        self.values = np.empty(0, dtype=float)  # sorted ascending
-        self.times = np.empty(0, dtype=float)   # aligned event times
-        self.n_seen = 0
-        self.n_eff = 0.0
-        self.t_ref = -np.inf
-
-    # -- internals -----------------------------------------------------
-    @property
-    def _max_age(self) -> float:
-        if self.decay == 0.0:
-            return math.inf
-        return -math.log(self.weight_floor) / self.decay
-
-    def _select(self, values: np.ndarray, times: np.ndarray,
-                evict_age: bool = True) -> None:
-        """Keep the ``capacity`` largest by value (ties broken by time so
-        the kept multiset is deterministic under any merge order).
-
-        Age eviction only runs on the sequential ``update`` path
-        (``evict_age=True``): inside ``merge`` the selection must be the
-        pure top-k union, because dropping by age against an
-        *intermediate* merge clock frees capacity slots in one merge
-        order but not another and top-k truncation is irreversible.
-        Items a merge retains past their floor age just carry a
-        negligible weight at query time.
-        """
-        if evict_age and self.decay > 0.0 and values.size:
-            young = (self.t_ref - times) <= self._max_age
-            values, times = values[young], times[young]
-        order = np.lexsort((times, values))
-        values, times = values[order], times[order]
-        if values.size > self.capacity:
-            values = values[values.size - self.capacity:]
-            times = times[times.size - self.capacity:]
-        self.values, self.times = values, times
-
-    def _advance(self, now: float) -> None:
-        if now <= self.t_ref:
-            return
-        if self.n_eff:
-            self.n_eff *= math.exp(-self.decay * (now - self.t_ref))
-        self.t_ref = now
-
-    # -- updates -------------------------------------------------------
-    def update(self, values, times=None) -> None:
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
-            return
-        if times is None:
-            t = np.full(arr.size, self.t_ref if self.t_ref > -np.inf else 0.0)
-        else:
-            t = np.broadcast_to(np.asarray(times, dtype=float), arr.shape)
-        self.n_seen += int(arr.size)
-        now = max(self.t_ref, float(t.max()))
-        self._advance(now)
-        if self.decay:
-            self.n_eff += float(np.exp(-self.decay * (now - t)).sum())
-        else:
-            self.n_eff += float(arr.size)
-        self._select(np.concatenate([self.values, arr]),
-                     np.concatenate([self.times, t]))
-
-    def merge(self, other: "DecayedTopK") -> None:
-        if (other.capacity != self.capacity or other.decay != self.decay
-                or other.weight_floor != self.weight_floor):
-            raise ValueError(
-                "cannot merge DecayedTopK with different parameters"
-            )
-        now = max(self.t_ref, other.t_ref)
-        self._advance(now)
-        boost = (math.exp(-self.decay * (now - other.t_ref))
-                 if now > other.t_ref and other.n_eff else 1.0)
-        self.n_eff += other.n_eff * boost
-        self.n_seen += other.n_seen
-        self._select(np.concatenate([self.values, other.values]),
-                     np.concatenate([self.times, other.times]),
-                     evict_age=False)
-
-    # -- queries -------------------------------------------------------
-    def weights(self) -> np.ndarray:
-        """Current item weights, aligned with :attr:`values`."""
-        if self.decay == 0.0:
-            return np.ones(self.values.size)
-        return np.exp(-self.decay * (self.t_ref - self.times))
-
-    def max_tail_fraction(self) -> float:
-        """Largest tail fraction :meth:`tail_fit` can serve exactly."""
-        if self.n_eff <= 0 or self.values.size < 2:
-            return 0.0
-        w = self.weights()
-        return float(w[1:].sum() / self.n_eff)
-
-    def tail_fit(self, tail_fraction: float = 0.05) -> tuple[float, float, int]:
-        """Decay-weighted Pareto ``(location, shape, k)`` of the upper tail.
-
-        The tail holds the smallest set of largest stored values whose
-        cumulative weight reaches ``n_eff * tail_fraction`` (at least
-        weight 2); the weighted Hill estimate is
-        ``W / sum(w_i * ln(v_i / threshold))``.  With ``decay=0`` this is
-        the exact batch ``TopK.tail_fit``.  When the reservoir cannot
-        cover the requested fraction the error reports the largest
-        feasible one (:meth:`max_tail_fraction`) so streaming callers can
-        degrade instead of guessing.
-        """
-        target = max(2.0, math.floor(self.n_eff * tail_fraction))
-        if target >= self.n_eff:
-            raise ValueError(
-                "tail fraction leaves no body below the threshold"
-            )
-        w = self.weights()
-        cum = np.cumsum(w[::-1])  # cumulative weight from the largest down
-        k = int(np.searchsorted(cum, target, side="left")) + 1
-        if k + 1 > self.values.size:
-            raise ValueError(
-                f"reservoir holds {self.values.size} of "
-                f"{self.n_seen} seen: cannot cover tail fraction "
-                f"{tail_fraction:g}; largest feasible fraction is "
-                f"{self.max_tail_fraction():.6g}"
-            )
-        threshold = float(self.values[self.values.size - k - 1])
-        if threshold <= 0:
-            raise ValueError("Hill estimator requires a positive tail threshold")
-        tail = self.values[self.values.size - k:]
-        wt = w[w.size - k:]
-        logs = wt * np.log(tail / threshold)
-        total = float(np.sum(logs))
-        if total <= 0:
-            raise ValueError("degenerate upper tail")
-        mass = float(cum[k - 1])
-        return threshold, mass / total, k
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.values.nbytes) + int(self.times.nbytes) + 48
-
-    def __repr__(self):
-        return (f"DecayedTopK(capacity={self.capacity}, decay={self.decay:g}, "
-                f"n_seen={self.n_seen}, n_eff={self.n_eff:.6g})")
+SlidingCountLadder = CountLadder
+DecayedTopK = TopK
 
 
 # ----------------------------------------------------------------------
@@ -562,7 +58,7 @@ class WindowedQuantileSketch:
     pane-granularity tradeoff.  Memory is ``O(n_panes * capacity)``.
 
     ``window=inf`` keeps a single unbounded pane and delegates verbatim:
-    updates, merges, and queries are bit-identical to the twin sketch.
+    updates, merges, and queries are bit-identical to a plain sketch.
     """
 
     def __init__(self, capacity: int = 1024, *, window: float = math.inf,
@@ -570,9 +66,6 @@ class WindowedQuantileSketch:
         require_positive(window, "window")
         if n_panes < 2:
             raise ValueError(f"n_panes must be >= 2, got {n_panes}")
-        from repro.stream.sketches import QuantileSketch
-
-        self._sketch_cls = QuantileSketch
         self.capacity = int(capacity)
         self.window = float(window)
         self.start = float(start)
@@ -580,7 +73,7 @@ class WindowedQuantileSketch:
         self.pane_width = (
             math.inf if math.isinf(self.window) else self.window / n_panes
         )
-        self._panes: dict[int, "QuantileSketch"] = {}
+        self._panes: dict[int, QuantileSketch] = {}
         self._pane_max = -1
         if math.isinf(self.window):
             self._panes[0] = QuantileSketch(self.capacity)
@@ -605,7 +98,7 @@ class WindowedQuantileSketch:
         for pane in np.unique(idx):
             sk = self._panes.get(int(pane))
             if sk is None:
-                sk = self._panes[int(pane)] = self._sketch_cls(self.capacity)
+                sk = self._panes[int(pane)] = QuantileSketch(self.capacity)
             sk.update(arr[idx == pane])
         self._evict()
 
@@ -625,15 +118,15 @@ class WindowedQuantileSketch:
         for pane in sorted(other._panes):
             sk = self._panes.get(pane)
             if sk is None:
-                sk = self._panes[pane] = self._sketch_cls(self.capacity)
+                sk = self._panes[pane] = QuantileSketch(self.capacity)
             sk.merge(other._panes[pane])
         self._pane_max = max(self._pane_max, other._pane_max)
         self._evict()
 
     # -- queries -------------------------------------------------------
-    def merged(self):
+    def merged(self) -> QuantileSketch:
         """One :class:`QuantileSketch` over the live panes (a copy)."""
-        out = self._sketch_cls(self.capacity)
+        out = QuantileSketch(self.capacity)
         for pane in sorted(self._panes):
             out.merge(self._panes[pane])
         return out

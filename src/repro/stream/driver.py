@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.engine.metrics import write_bench_files
 from repro.utils.pool import pool_map
 from repro.stream.chunks import DEFAULT_CHUNK_BYTES, Chunk, plan_chunks
 from repro.stream.reader import (
@@ -160,6 +159,11 @@ class ScanReport:
 
     def write_bench(self, out_dir) -> list:
         """Write ``BENCH_stream_scan.json`` (+ summary) into ``out_dir``."""
+        # Imported here: the engine package imports the experiment
+        # registry, whose monitor experiment imports this package's
+        # sketches, so a module-level import would make a cycle.
+        from repro.engine.metrics import write_bench_files
+
         payload = self.bench_payload()
         summary = {
             "bench": "repro-stream",

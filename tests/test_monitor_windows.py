@@ -2,19 +2,26 @@
 
 The load-bearing contracts (see ``repro.monitor.windows``):
 
-* **twin reduction** — every windowed sketch at ``window=inf`` /
-  ``decay=0`` is *bit-identical* to its unbounded ``repro.stream``
-  twin under any partition of the input;
+* **one implementation** — ``SlidingCountLadder`` and ``DecayedTopK``
+  are ``stream.sketches``' ``CountLadder`` and ``TopK``; the paned
+  ``WindowedQuantileSketch`` at ``window=inf`` is *bit-identical* to the
+  unbounded ``QuantileSketch`` under any partition of the input;
 * **shard-merge order invariance** — merging per-shard sketches in any
   order yields the identical state (decay weights are pure functions of
   the item and the merged clock, never of the path the item took to get
   there); for the count/order-statistic sketches and at ``decay=0`` the
   merge also reproduces the single-writer state exactly;
+* **linear top-k selection** — partitioning to the capacity-th largest
+  value before sorting keeps exactly what a full sort would, ties
+  included;
 * **O(window) memory** — a finite-window ladder's buffer is bounded by
   the window, independent of stream length.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,12 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor import (
-    DecayedMoments,
     DecayedTopK,
     SlidingCountLadder,
     WindowedQuantileSketch,
 )
-from repro.stream import CountLadder, QuantileSketch, StreamingMoments, TopK
+from repro.stream import CountLadder, QuantileSketch, TopK
 
 
 def _split(arr, cuts):
@@ -40,64 +46,50 @@ def _times(n=2000, span=100.0, seed=0):
     return np.sort(rng.uniform(0.0, span, n))
 
 
+class _FullSortTopK(TopK):
+    """Reference selection: ``lexsort`` every candidate, keep the last
+    ``capacity`` (the reservoir's selection before it partitioned)."""
+
+    __slots__ = ()
+
+    def _select(self, values, times, evict_age=True):
+        if evict_age and self.decay > 0.0 and values.size:
+            max_age = -math.log(self.weight_floor) / self.decay
+            young = (self.t_ref - times) <= max_age
+            values, times = values[young], times[young]
+        order = np.lexsort((times, values))[-self.capacity:]
+        self.values, self.times = values[order], times[order]
+
+
 # ----------------------------------------------------------------------
-# Twin reduction: window=inf / decay=0 is bit-identical to the twin
+# Reduction: the monitor's names are the unbounded sketches at
+# window=inf / decay=0
 # ----------------------------------------------------------------------
 class TestTwinReduction:
-    @given(
-        st.lists(st.integers(0, 1999), min_size=0, max_size=5),
-        st.floats(0.05, 2.0),
-        st.integers(0, 2 ** 31 - 1),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_ladder_inf_window_matches_count_ladder(self, cuts, bin_width,
-                                                    seed):
-        times = _times(seed=seed)
-        twin = CountLadder(bin_width)
-        windowed = SlidingCountLadder(bin_width, window=math.inf)
-        for piece in _split(times, cuts):
-            twin.update(piece)
-            windowed.update(piece)
-        assert np.array_equal(windowed.finalize(), twin.finalize())
-        assert np.array_equal(windowed.window_counts(), twin.finalize())
-        assert windowed.n_events == twin.n_events
-        assert windowed.evicted_events == 0
-
-    @given(st.lists(st.integers(0, 1999), min_size=0, max_size=5),
-           st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_moments_zero_decay_matches_streaming_moments(self, cuts, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.pareto(1.3, 2000) + 0.1
-        times = _times(seed=seed)
-        twin = StreamingMoments()
-        decayed = DecayedMoments(decay=0.0)
-        for piece, t in zip(_split(x, cuts), _split(times, cuts)):
-            twin.update(piece)
-            decayed.update(piece, now=float(t[-1]) if t.size else None)
-        assert decayed.n == twin.n
-        assert decayed.mean == twin.mean
-        assert decayed.m2 == twin.m2
-        assert decayed.total == twin.total
-        assert decayed.min == twin.min and decayed.max == twin.max
+    def test_monitor_names_are_the_stream_sketches(self):
+        assert SlidingCountLadder is CountLadder
+        assert DecayedTopK is TopK
 
     @given(st.lists(st.integers(0, 1999), min_size=0, max_size=5),
            st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_topk_zero_decay_matches_topk(self, cuts, seed):
+        """Times passed at ``decay=0`` change nothing: the monitor's
+        ``update(values, times)`` keeps what the stream path's
+        ``update(values)`` keeps, and fits the same tail."""
         rng = np.random.default_rng(seed)
         x = rng.pareto(1.1, 2000) + 0.05
         times = _times(seed=seed)
-        twin = TopK(128)
-        decayed = DecayedTopK(128, decay=0.0)
+        untimed = TopK(128)
+        timed = TopK(128, decay=0.0)
         for piece, t in zip(_split(x, cuts), _split(times, cuts)):
-            twin.update(piece)
-            decayed.update(piece, t)
-        assert np.array_equal(decayed.values, twin.values)
-        assert decayed.n_seen == twin.n_seen
-        assert decayed.n_eff == twin.n_seen
-        assert decayed.tail_fit(0.05) == twin.tail_fit(0.05)
-        assert decayed.max_tail_fraction() == twin.max_tail_fraction()
+            untimed.update(piece)
+            timed.update(piece, t)
+        assert np.array_equal(timed.values, untimed.values)
+        assert timed.n_seen == untimed.n_seen
+        assert timed.n_eff == untimed.n_seen
+        assert timed.tail_fit(0.05) == untimed.tail_fit(0.05)
+        assert timed.max_tail_fraction() == untimed.max_tail_fraction()
 
     @given(st.lists(st.integers(0, 1999), min_size=0, max_size=5),
            st.integers(0, 2 ** 31 - 1))
@@ -183,22 +175,38 @@ class TestMergeOrderInvariance:
             assert np.array_equal(merged.values, single.values)
             assert merged.n_eff == single.n_eff
 
-    def test_decayed_moments_merge_commutes(self):
-        rng = np.random.default_rng(9)
-        a = DecayedMoments(decay=0.1)
-        a.update(rng.pareto(1.5, 500) + 0.1, now=10.0)
-        b = DecayedMoments(decay=0.1)
-        b.update(rng.pareto(1.5, 500) + 0.1, now=25.0)
-        ab = DecayedMoments(decay=0.1)
-        ab.merge(a)
-        ab.merge(b)
-        ba = DecayedMoments(decay=0.1)
-        ba.merge(b)
-        ba.merge(a)
-        assert ab.n == pytest.approx(ba.n, rel=1e-12)
-        assert ab.mean == pytest.approx(ba.mean, rel=1e-12)
-        assert ab.m2 == pytest.approx(ba.m2, rel=1e-12)
-        assert ab.t_ref == ba.t_ref
+    @given(st.lists(st.integers(0, 400), min_size=3, max_size=3),
+           st.permutations(range(4)), st.integers(1, 5),
+           st.sampled_from([0.0, 1.0]), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_partition_selection_matches_full_sort_on_ties(
+            self, cuts, order, levels, decay, seed):
+        """Selecting through ``np.partition`` keeps exactly what a full
+        ``lexsort`` truncation keeps, even when the threshold value (and
+        its event time) is shared by many items, for any batch split and
+        merge order."""
+        rng = np.random.default_rng(seed)
+        values = rng.choice(np.arange(1.0, levels + 1.0), 400)
+        times = rng.choice(np.linspace(0.0, 40.0, 5), 400)
+        pieces = list(zip(np.split(values, sorted(cuts)),
+                          np.split(times, sorted(cuts))))
+
+        def single_and_merged(cls):
+            single = cls(16, decay=decay)
+            for v, t in pieces:
+                single.update(v, t)
+            merged = cls(16, decay=decay)
+            for i in order:
+                shard = cls(16, decay=decay)
+                shard.update(*pieces[i])
+                merged.merge(shard)
+            return single, merged
+
+        for got, want in zip(single_and_merged(TopK),
+                             single_and_merged(_FullSortTopK)):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.times, want.times)
+            assert got.n_eff == want.n_eff
 
     def test_layout_mismatch_raises(self):
         with pytest.raises(ValueError, match="layouts"):
@@ -206,8 +214,6 @@ class TestMergeOrderInvariance:
                 SlidingCountLadder(0.1, window=20.0))
         with pytest.raises(ValueError, match="parameters"):
             DecayedTopK(8, decay=0.1).merge(DecayedTopK(8, decay=0.2))
-        with pytest.raises(ValueError, match="decay"):
-            DecayedMoments(0.1).merge(DecayedMoments(0.2))
         with pytest.raises(ValueError, match="layouts"):
             WindowedQuantileSketch(8, window=10.0).merge(
                 WindowedQuantileSketch(8, window=20.0))
@@ -262,3 +268,14 @@ class TestWindowing:
         sketch = WindowedQuantileSketch(16, window=10.0)
         with pytest.raises(ValueError, match="times"):
             sketch.update([1.0, 2.0])
+
+
+def test_monitor_imports_first_in_a_fresh_interpreter():
+    """``monitor.windows`` imports ``repro.stream``, whose driver must not
+    pull in the engine (and through it the experiment registry, which
+    imports the monitor) at import time."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    done = subprocess.run([sys.executable, "-c", "import repro.monitor"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -91,6 +91,25 @@ class TestSpecVsRegistryIdentity:
                                                       hours=24).render()
 
 
+class TestShortFlowsimRun:
+    def test_renders_without_measured_links(self):
+        """600 one-second bins are too few for a per-link H: the table
+        shows ``-`` and neither verdict property holds."""
+        doc = {"scenario": {"name": "f", "kind": "flowsim", "seed": 0},
+               "flowsim": {"duration": 600.0, "n_nodes": 4,
+                           "sessions_per_hour": 900.0}}
+        out = run_spec(doc)
+        result = out.result
+        assert not result.ftp.link_hurst and not result.control.link_hurst
+        assert result.heavy_tail_elevated is False
+        assert result.control_near_half is False
+        for row in result.rows():
+            assert row["n_links_measured"] == 0
+            assert row["hurst_mean"] == row["hurst_min"] == "-"
+            assert row["hurst_max"] == "-"
+        assert "hurst_mean" in out.rendered
+
+
 class TestSynthSharding:
     def test_jobs_do_not_change_anything(self):
         serial = run_spec(SYNTH_DOC, jobs=1)

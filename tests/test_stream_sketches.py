@@ -410,3 +410,69 @@ class TestCountLadderOpen:
         a.update(np.sort(np.append(rng.uniform(0, 100, 1_000), 100.0)))
         b.update(np.sort(np.append(rng.uniform(0, 100, 10_000), 100.0)))
         assert a.nbytes == b.nbytes
+
+
+class TestCountLadderModeRules:
+    def test_weighted_n_events_counts_events(self):
+        ladder = CountLadder(1.0, weighted=True)
+        ladder.update([0.5, 1.5, 2.5], [10.0, 20.0, 30.0])
+        assert ladder.n_events == 3
+        assert ladder.finalize().sum() == 30.0  # bins [0,1), [1,2)
+
+    def test_zero_weight_events_still_open_the_window(self):
+        ladder = CountLadder(1.0, weighted=True)
+        ladder.update([0.5, 1.5, 2.5], [0.0, 0.0, 0.0])
+        assert np.array_equal(ladder.finalize(), [0.0, 0.0])
+
+    def test_weighted_finite_window_raises(self):
+        with pytest.raises(ValueError, match="weighted=True"):
+            CountLadder(1.0, window=10.0, weighted=True)
+
+    def test_fixed_end_finite_window_raises(self):
+        with pytest.raises(ValueError, match="end=20.0"):
+            CountLadder(1.0, end=20.0, window=10.0)
+
+
+# ----------------------------------------------------------------------
+# Non-finite input
+# ----------------------------------------------------------------------
+LADDERS = {
+    "fixed": lambda: CountLadder(1.0, end=10.0),
+    "open": lambda: CountLadder(1.0),
+    "sliding": lambda: CountLadder(1.0, window=5.0),
+    "weighted": lambda: CountLadder(1.0, weighted=True),
+}
+
+
+class TestNonFiniteInputRaises:
+    @pytest.mark.parametrize("mode", list(LADDERS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_ladder_times(self, mode, bad):
+        ladder = LADDERS[mode]()
+        weights = [1.0] * 4 if ladder.weighted else None
+        with pytest.raises(ValueError,
+                           match=r"CountLadder\.update: 1 of 4 times"):
+            ladder.update([0.5, bad, 2.5, 3.5], weights)
+        assert ladder.n_events == 0
+
+    def test_ladder_weights(self):
+        ladder = CountLadder(1.0, weighted=True)
+        with pytest.raises(ValueError,
+                           match=r"CountLadder\.update: 2 of 3 weights"):
+            ladder.update([0.5, 1.5, 2.5], [1.0, np.nan, -np.inf])
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5])
+    def test_topk_values(self, decay):
+        topk = TopK(8, decay=decay)
+        with pytest.raises(ValueError, match=r"TopK\.update: 1 of 3 values"):
+            topk.update([1.0, np.nan, 3.0], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=r"TopK\.update: 1 of 2 values"):
+            topk.update([np.inf, 3.0])
+        assert topk.n_seen == 0
+
+    @pytest.mark.parametrize("decay", [0.0, 0.5])
+    def test_topk_times(self, decay):
+        topk = TopK(8, decay=decay)
+        with pytest.raises(ValueError, match=r"TopK\.update: 1 of 3 times"):
+            topk.update([1.0, 2.0, 3.0], [0.0, np.nan, 2.0])
+        assert topk.n_seen == 0
