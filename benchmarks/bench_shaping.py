@@ -61,7 +61,9 @@ def _scalar_reference_s(times, costs, element, repeats):
 # ----------------------------------------------------------------------
 def test_policer_scan_1m(benchmark):
     times, costs = _packets(1_000_000)
-    pol = TokenBucketPolicer(400_000.0, 100_000.0)
+    # Police below the input's mean byte rate so the drop path runs.
+    rate = 0.6 * costs.sum() / (times[-1] - times[0])
+    pol = TokenBucketPolicer(rate, 0.25 * rate)
     res = benchmark(pol.apply, times, costs)
     assert 0 < res.n_dropped < res.n
 

@@ -14,7 +14,7 @@ import io
 import time
 from contextlib import redirect_stdout
 
-from repro.cli import run_experiment
+from repro.cli import main as repro_main
 from repro.experiments import REGISTRY
 
 
@@ -33,7 +33,8 @@ def main() -> None:
         section = io.StringIO()
         try:
             with redirect_stdout(section):
-                run_experiment(name, args.seed)
+                repro_main(["run", name, "--seed", str(args.seed),
+                            "--no-cache"])
         except Exception as exc:  # record, keep going
             section.write(f"FAILED: {exc}\n")
             failures.append(name)

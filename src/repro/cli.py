@@ -16,25 +16,16 @@ Usage::
     python -m repro stream scan big.txt.gz --jobs 4 --bin-width 0.01
     python -m repro stream scan day1.txt day2.txt.gz   # merged in order
 
-    # flow-level network simulation (repro.flowsim):
-    python -m repro flowsim run --topology line --nodes 10
-    python -m repro flowsim run --workload both --json --out bench/
-
-    # always-on online estimation (repro.monitor):
-    python -m repro monitor run --source pareto --window 60
-    python -m repro monitor run --source hurst-step --duration 600 --json
-
-    # batched superposition phase diagram (repro.kernels.superpose):
-    python -m repro superpose run --replications 192 --json
-    python -m repro superpose run --battery-sources 100000 --out bench/
-
-    # in-network conditioning & policing detection (repro.shaping):
-    python -m repro shaping run --json --out bench/
-    python -m repro shaping run --rate-factors 0.5 --burst-seconds 0.25,1
-    python -m repro replay loopback --packets 50000 --police-rate 30000
+    # declarative scenario specs: flowsim, monitor, shaping, superpose,
+    # synth, or any registry experiment (repro.scenario):
+    python -m repro scenario validate examples/specs/*.toml
+    python -m repro scenario run examples/specs/flowsim_line.toml --json
+    python -m repro scenario run examples/specs/monitor_battery.toml --out bench/
+    python -m repro scenario run examples/specs/shaping_smoke.toml --seed 3
 
     # live traffic replay & load generation (repro.replay):
     python -m repro replay loopback --packets 100000 --validate
+    python -m repro replay loopback --packets 50000 --police-rate 30000
     python -m repro replay loopback --trace big.txt --speed 60 --flows 4
     python -m repro replay recv --port 9900 --capture cap.txt
     python -m repro replay send big.txt --port 9900 --speed 0
@@ -87,20 +78,6 @@ def _nonnegative_float(text: str) -> float:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
-
-
-def _positive_float_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(x) for x in text.split(",") if x.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {text!r}"
-        ) from None
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError(
-            f"expected positive comma-separated numbers, got {text!r}"
-        )
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,178 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--scale", type=_positive_float, default=None,
                        help="traffic intensity multiplier (default: "
                             "auto-calibrated to hit --packets)")
-
-    flowsim = sub.add_parser(
-        "flowsim", help="flow-level network simulation"
-    )
-    flowsim_sub = flowsim.add_subparsers(dest="flowsim_command", required=True)
-    frun = flowsim_sub.add_parser(
-        "run",
-        help="route a synthesized workload over a topology and report "
-             "per-link Hurst estimates",
-        parents=[common],
-    )
-    frun.add_argument("--topology", choices=["line", "star", "dumbbell"],
-                      default="line", help="topology family (default line)")
-    frun.add_argument("--nodes", type=_positive_int, default=10, metavar="N",
-                      help="principal node count (default 10)")
-    frun.add_argument("--duration", type=_positive_float, default=3600.0,
-                      metavar="SECONDS",
-                      help="workload span in seconds (default 3600)")
-    frun.add_argument("--sessions-per-hour", type=_positive_float,
-                      default=4000.0, metavar="RATE",
-                      help="ftp session arrival rate (default 4000)")
-    frun.add_argument("--workload", choices=["ftp", "exponential", "both"],
-                      default="ftp",
-                      help="heavy-tailed ftp, its exponential control, or "
-                           "both back to back (default ftp)")
-    frun.add_argument("--model", choices=["msmo97", "csa00"],
-                      default="msmo97",
-                      help="TCP closure model for responsive flows "
-                           "(default msmo97)")
-    frun.add_argument("--discipline", choices=["fair", "fifo"],
-                      default="fair",
-                      help="link sharing discipline (default fair)")
-    frun.add_argument("--utilization", type=_positive_float, default=0.4,
-                      metavar="RHO",
-                      help="per-link target utilization for capacity "
-                           "calibration (default 0.4)")
-    frun.add_argument("--bin-width", type=_positive_float, default=1.0,
-                      metavar="SECONDS",
-                      help="byte-process bin width for the Hurst battery "
-                           "(default 1.0)")
-    frun.add_argument("--horizon", type=_positive_float, default=None,
-                      metavar="SECONDS",
-                      help="stop the simulation clock early (default: run "
-                           "every flow to completion)")
-    frun.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    frun.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                      help="worker processes for workload synthesis "
-                           "(default 1; outputs independent of N)")
-    frun.add_argument("--json", action="store_true", dest="as_json",
-                      help="print BENCH-shaped run metrics as JSON")
-    frun.add_argument("--out", default=None, metavar="DIR",
-                      help="write BENCH_flowsim_run.json into DIR")
-
-    monitor = sub.add_parser(
-        "monitor", help="always-on online estimation service"
-    )
-    monitor_sub = monitor.add_subparsers(dest="monitor_command",
-                                         required=True)
-    mrun = monitor_sub.add_parser(
-        "run",
-        help="stream a synthetic scenario or a trace file through the "
-             "sliding-window Hurst/tail/change-point monitor",
-        parents=[common],
-    )
-    mrun.add_argument(
-        "--source", default="pareto", metavar="NAME|PATH",
-        help="scenario (poisson, pareto, hurst-step, markov-onoff, "
-             "diurnal-ramp) or a v1/gz trace file path (default pareto)")
-    mrun.add_argument("--window", type=_positive_float, default=60.0,
-                      metavar="SECONDS",
-                      help="sliding-window span (default 60)")
-    mrun.add_argument("--bin-width", type=_positive_float, default=0.05,
-                      metavar="SECONDS",
-                      help="count-ladder bin width (default 0.05)")
-    mrun.add_argument("--snapshot-every", type=_positive_float, default=2.0,
-                      metavar="SECONDS",
-                      help="stream seconds between snapshots (default 2)")
-    mrun.add_argument("--rate-tick", type=_positive_float, default=0.5,
-                      metavar="SECONDS",
-                      help="rate-series sample spacing for the "
-                           "change-point detectors (default 0.5)")
-    mrun.add_argument("--duration", type=_positive_float, default=400.0,
-                      metavar="SECONDS",
-                      help="synthetic scenario span (default 400; ignored "
-                           "for trace files)")
-    mrun.add_argument("--rate", type=_positive_float, default=50.0,
-                      metavar="EVENTS_PER_S",
-                      help="synthetic scenario mean rate (default 50)")
-    mrun.add_argument("--batch-seconds", type=_positive_float, default=1.0,
-                      metavar="SECONDS",
-                      help="scenario feed granularity, one observe() per "
-                           "batch (default 1)")
-    mrun.add_argument("--seed", type=int, default=0,
-                      help="scenario RNG seed")
-    mrun.add_argument("--json", action="store_true", dest="as_json",
-                      help="print BENCH-shaped monitor metrics as JSON")
-    mrun.add_argument("--out", default=None, metavar="DIR",
-                      help="write BENCH_monitor.json into DIR")
-
-    superpose = sub.add_parser(
-        "superpose", help="batched ON/OFF superposition phase diagram"
-    )
-    superpose_sub = superpose.add_subparsers(dest="superpose_command",
-                                             required=True)
-    srun = superpose_sub.add_parser(
-        "run",
-        help="sweep the Gaussian-vs-stable phase diagram over source "
-             "count x connection-growth cells and run the Hurst battery",
-        parents=[common],
-    )
-    srun.add_argument("--replications", type=_positive_int, default=192,
-                      metavar="N",
-                      help="independent aggregates per cell (default 192)")
-    srun.add_argument("--shape", type=_positive_float, default=1.2,
-                      metavar="BETA",
-                      help="Pareto shape of the ON/OFF period laws "
-                           "(default 1.2)")
-    srun.add_argument("--battery-sources", type=_positive_int,
-                      default=50_000, metavar="N",
-                      help="sources in the Hurst-battery aggregate "
-                           "(default 50000)")
-    srun.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                      help="worker processes for the shared-memory fan-out "
-                           "(default 1; outputs independent of N)")
-    srun.add_argument("--chunk", type=_positive_int, default=8192,
-                      metavar="N",
-                      help="sources per batched chunk (default 8192)")
-    srun.add_argument("--seed", type=int, default=0, help="RNG seed")
-    srun.add_argument("--json", action="store_true", dest="as_json",
-                      help="print the phase-diagram summary as JSON")
-    srun.add_argument("--out", default=None, metavar="DIR",
-                      help="write BENCH_superpose_run.json into DIR")
-
-    shaping = sub.add_parser(
-        "shaping",
-        help="in-network policers/shapers & closed-loop policing detection",
-    )
-    shaping_sub = shaping.add_subparsers(dest="shaping_command",
-                                         required=True)
-    shrun = shaping_sub.add_parser(
-        "run",
-        help="synthesize -> police at a known rate -> detect from the "
-             "trace alone; report rate recovery over a rate x burst grid "
-             "plus the shaping Hurst-impact battery",
-        parents=[common],
-    )
-    shrun.add_argument("--model", default="ftp",
-                       help="synthesis model (default ftp)")
-    shrun.add_argument("--packets", type=_positive_int, default=60_000,
-                       metavar="N",
-                       help="synthesized packets (default 60000)")
-    shrun.add_argument("--source-rate", type=_positive_float, default=240.0,
-                       metavar="X",
-                       help="source intensity (sessions/hour for ftp; "
-                            "default 240 — dense enough to police)")
-    shrun.add_argument("--rate-factors", type=_positive_float_list,
-                       default=(0.3, 0.5, 0.8), metavar="F,F,...",
-                       help="policed rate as fractions of the mean byte "
-                            "rate (default 0.3,0.5,0.8)")
-    shrun.add_argument("--burst-seconds", type=_positive_float_list,
-                       default=(0.25, 1.0, 4.0), metavar="S,S,...",
-                       help="bucket depths in seconds of credit at the "
-                            "policed rate (default 0.25,1.0,4.0)")
-    shrun.add_argument("--shaper-rate-factors", type=_positive_float_list,
-                       default=(1.0, 1.5, 3.0), metavar="F,F,...",
-                       help="lossless shaper rates for the Hurst battery, "
-                            "as mean-rate factors >= 1 (default 1.0,1.5,3.0)")
-    shrun.add_argument("--seed", type=int, default=7, help="RNG seed")
-    shrun.add_argument("--json", action="store_true", dest="as_json",
-                       help="print the closed-loop report as JSON")
-    shrun.add_argument("--out", default=None, metavar="DIR",
-                       help="write BENCH_shaping_run.json into DIR")
 
     replay = sub.add_parser(
         "replay", help="live traffic replay & load generation"
@@ -515,17 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_experiment(name: str, seed: int) -> int:
-    """Back-compat single-experiment entry point (serial, uncached)."""
-    if name not in REGISTRY:
-        print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
-        return 2
-    report = run_experiments([name], master_seed=seed, use_cache=False,
-                             derive_seeds=False)
-    _print_runs(report)
-    return 0 if report.ok else 1
-
-
 def _print_runs(report, *, headers: bool = False) -> None:
     for run in report.runs:
         if headers:
@@ -617,165 +411,6 @@ def _write_bench_json(payload: dict, out_dir: str, name: str) -> str:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     return path
-
-
-def _flowsim_command(args) -> int:
-    import time
-
-    from repro.flowsim.scenario import FlowScenario
-
-    workloads = (
-        ["ftp", "exponential"] if args.workload == "both"
-        else [args.workload]
-    )
-    payload: dict = {"scenarios": {}}
-    renders = []
-    for workload in workloads:
-        scenario = FlowScenario(
-            topology=args.topology,
-            n_nodes=args.nodes,
-            duration=args.duration,
-            sessions_per_hour=args.sessions_per_hour,
-            workload=workload,
-            model=args.model,
-            discipline=args.discipline,
-            utilization=args.utilization,
-            bin_width=args.bin_width,
-        )
-        t0 = time.perf_counter()
-        out = scenario.run(seed=args.seed, jobs=args.jobs,
-                           horizon=args.horizon)
-        elapsed = time.perf_counter() - t0
-        summary = out.summary()
-        summary["wall_time_s"] = elapsed
-        summary["flows_per_second"] = out.result.n_flows / elapsed
-        payload["scenarios"][workload] = summary
-        renders.append(out.render()
-                       + f"\n  [{elapsed:.2f}s wall, "
-                         f"{summary['flows_per_second']:,.0f} flows/s]")
-    if args.out:
-        _write_bench_json(payload, args.out, "BENCH_flowsim_run.json")
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n\n".join(renders))
-    return 0
-
-
-#: Named synthetic scenarios for ``repro monitor run --source``.
-MONITOR_SCENARIOS = ("poisson", "pareto", "hurst-step", "markov-onoff",
-                     "diurnal-ramp")
-
-
-def _monitor_command(args) -> int:
-    from repro.monitor import (
-        MonitorConfig,
-        MonitorService,
-        diurnal_ramp_stream,
-        hurst_step_stream,
-        iter_batches,
-        markov_onoff_stream,
-        pareto_stream,
-        poisson_stream,
-    )
-
-    config = MonitorConfig(
-        window=args.window,
-        bin_width=args.bin_width,
-        snapshot_every=args.snapshot_every,
-        rate_tick=args.rate_tick,
-    )
-    service = MonitorService(config)
-    source = args.source
-    if source in MONITOR_SCENARIOS:
-        duration, rate, seed = args.duration, args.rate, args.seed
-        times = {
-            "poisson": lambda: poisson_stream(duration, rate, seed=seed),
-            "pareto": lambda: pareto_stream(duration, rate, seed=seed),
-            "hurst-step": lambda: hurst_step_stream(
-                duration, rate, duration / 2.0, seed=seed),
-            "markov-onoff": lambda: markov_onoff_stream(
-                duration, rate * 4.0, seed=seed),
-            "diurnal-ramp": lambda: diurnal_ramp_stream(
-                duration, rate, seed=seed),
-        }[source]()
-        for batch in iter_batches(times, args.batch_seconds):
-            service.observe(batch)
-        report = service.finalize()
-    else:
-        import os
-
-        if not os.path.exists(source):
-            raise SystemExit(
-                f"--source must be one of {', '.join(MONITOR_SCENARIOS)} "
-                f"or an existing trace file, got {source!r}")
-        report = service.run_file(source)
-    payload = {"source": source, **report.bench_payload(),
-               "config": config.payload()}
-    if args.out:
-        _write_bench_json(payload, args.out, "BENCH_monitor.json")
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.render())
-    return 0
-
-
-def _superpose_command(args) -> int:
-    import time
-
-    from repro.experiments.superpose_exp import superpose
-
-    t0 = time.perf_counter()
-    result = superpose(
-        seed=args.seed,
-        replications=args.replications,
-        pareto_shape=args.shape,
-        battery_sources=args.battery_sources,
-        jobs=args.jobs,
-        chunk=args.chunk,
-    )
-    elapsed = time.perf_counter() - t0
-    payload = result.payload()
-    payload["wall_time_s"] = round(elapsed, 3)
-    if args.out:
-        _write_bench_json(payload, args.out, "BENCH_superpose_run.json")
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(result.render())
-        print(f"  [{elapsed:.1f}s wall]")
-    return 0
-
-
-def _shaping_command(args) -> int:
-    import time
-
-    from repro.shaping import ShapingScenario
-    from repro.shaping.scenario import run_scenario as run_shaping
-
-    scenario = ShapingScenario(
-        model=args.model,
-        n_packets=args.packets,
-        source_rate=args.source_rate,
-        rate_factors=args.rate_factors,
-        burst_seconds=args.burst_seconds,
-        shaper_rate_factors=args.shaper_rate_factors,
-        seed=args.seed,
-    )
-    t0 = time.perf_counter()
-    report = run_shaping(scenario)
-    elapsed = time.perf_counter() - t0
-    payload = report.payload()
-    payload["wall_time_s"] = round(elapsed, 3)
-    if args.out:
-        _write_bench_json(payload, args.out, "BENCH_shaping_run.json")
-    if args.as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report.render())
-        print(f"  [{elapsed:.1f}s wall]")
-    return 0 if report.recovery_ok else 1
 
 
 def _build_replay_source(args):
@@ -1088,14 +723,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.command == "stream":
         return _stream_command(args)
-    if args.command == "flowsim":
-        return _flowsim_command(args)
-    if args.command == "monitor":
-        return _monitor_command(args)
-    if args.command == "superpose":
-        return _superpose_command(args)
-    if args.command == "shaping":
-        return _shaping_command(args)
     if args.command == "replay":
         return _replay_command(args)
     if args.command == "scenario":

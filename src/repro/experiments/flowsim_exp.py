@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.experiments.report import format_table
 from repro.flowsim.scenario import FlowScenario, ScenarioResult
 from repro.scenario import execute
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, int_seed
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,12 @@ class FlowsimComparisonResult:
         return (bool(self.control.link_hurst)
                 and abs(self.control.mean_hurst - 0.5) < 0.1)
 
+    def payload(self) -> dict:
+        """Both workloads' summaries, in :meth:`ScenarioResult.payload`'s
+        shape."""
+        return {"scenarios": {"ftp": self.ftp.summary(),
+                              "exponential": self.control.summary()}}
+
     def render(self) -> str:
         table = format_table(
             self.rows(),
@@ -66,11 +72,13 @@ def run_config(cfg: dict, seed: SeedLike = 0, jobs: int = 1):
     """The flowsim family runner: one resolved ``[flowsim]`` section.
 
     Runs every requested workload over the same topology with the same
-    seed (each run spawns its streams fresh, so order is immaterial) and
-    wraps the ftp/exponential pair in the comparison result the registry
-    has always reported.  A single workload returns its bare
+    integer seed (each run spawns its streams fresh, so order is
+    immaterial and the control matches the ftp flows) and wraps the
+    ftp/exponential pair in the comparison result the registry has
+    always reported.  A single workload returns its bare
     :class:`~repro.flowsim.scenario.ScenarioResult`.
     """
+    seed = int_seed(seed)
     workloads = tuple(cfg.get("workloads", ("ftp", "exponential")))
     outs = {}
     for workload in workloads:

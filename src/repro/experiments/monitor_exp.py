@@ -115,6 +115,25 @@ class MonitorBatteryResult:
         """Online H within ±0.05 of the batch fit on the same window."""
         return abs(self.online_hurst - self.batch_hurst) <= 0.05
 
+    def payload(self) -> dict:
+        """Each stream's throughput, memory and verdict, plus the step
+        detection and the online-vs-batch Hurst check."""
+        streams = {}
+        for name, report in self.reports.items():
+            verdict = self.verdict_for(name)
+            streams[name] = {**report.bench_payload(), "verdict": verdict,
+                             "ok": verdict in EXPECTED[name]}
+        return {
+            "streams": streams,
+            "step_time": self.step_time,
+            "step_alarm_time": self.step_alarm_time,
+            "step_detected": self.step_detected,
+            "online_hurst": self.online_hurst,
+            "batch_hurst": self.batch_hurst,
+            "online_matches_batch": self.online_matches_batch,
+            "discrimination_ok": self.discrimination_ok,
+        }
+
     def render(self) -> str:
         table = format_table(
             self.rows(),

@@ -15,7 +15,7 @@ coarse-scale LRD slope — the paper's actual finding — is conserved.
 from __future__ import annotations
 
 from repro.scenario import execute
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, int_seed
 
 
 def run_config(cfg: dict, seed: SeedLike = 7,
@@ -35,7 +35,7 @@ def run_config(cfg: dict, seed: SeedLike = 7,
             cfg.get("shaper_rate_factors", (1.0, 1.5, 3.0))),
         hurst_bin_s=cfg.get("hurst_bin_s", 0.01),
         hurst_split_level=cfg.get("hurst_split_level", 8),
-        seed=7 if seed is None else int(seed),
+        seed=7 if seed is None else int_seed(seed),
     )
     return run_scenario(scenario)
 

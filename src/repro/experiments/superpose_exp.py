@@ -45,6 +45,7 @@ from repro.scenario import execute
 from repro.selfsim.counts import CountProcess
 from repro.selfsim.variance_time import variance_time_curve
 from repro.stats import anderson_darling_normal
+from repro.utils.rng import int_seed
 
 #: Phase-diagram grid: (regime, sources per replication, horizon).  Slow
 #: cells pack many sources into a short horizon (every heavy period is
@@ -217,7 +218,7 @@ def run_config(cfg: dict, seed=0, jobs: int = 1) -> SuperposePhaseDiagram:
     mean_period = location * pareto_shape / (pareto_shape - 1.0)
     control = OnOffSource(Exponential(mean_period), Exponential(mean_period))
 
-    seqs = np.random.SeedSequence(seed).spawn(len(CELLS) + 2)
+    seqs = np.random.SeedSequence(int_seed(seed)).spawn(len(CELLS) + 2)
     cells = []
     for (regime, n_sources, horizon), seq in zip(CELLS, seqs):
         totals = superpose_onoff_groups(

@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.utils.rng import spawn_rngs
+from repro.utils.rng import SeedLike, spawn_rngs
 
 __all__ = [
     "KINDS",
@@ -549,11 +549,11 @@ def spec_digest(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def stage_rngs(seed: int) -> dict[str, object]:
+def stage_rngs(seed: SeedLike) -> dict[str, object]:
     """Independent per-stage generators for one document seed.
 
     Spawned over the fixed :data:`STAGES` order via the same
     ``SeedSequence`` tree as everything else in the codebase, so the
     source stream is identical whether or not later stages exist.
     """
-    return dict(zip(STAGES, spawn_rngs(int(seed), len(STAGES))))
+    return dict(zip(STAGES, spawn_rngs(seed, len(STAGES))))

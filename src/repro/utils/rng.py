@@ -27,6 +27,20 @@ def as_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def int_seed(seed: SeedLike) -> int:
+    """An integer seed that yields the same streams every time it is used.
+
+    Integers pass through; a generator, ``SeedSequence`` or ``None`` draws
+    one.  For runners that record their seed, build a ``SeedSequence``
+    for worker processes, or seed several stages alike: a generator's
+    spawn counter advances on every use, so handing the same generator to
+    two stages gives them different streams.
+    """
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    return int(as_rng(seed).integers(2**63))
+
+
 def spawn_rngs(seed: SeedLike, n: int) -> list[np.random.Generator]:
     """Produce ``n`` statistically independent child generators.
 

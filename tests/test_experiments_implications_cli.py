@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import main, run_experiment
+from repro.cli import main
 from repro.experiments import (
     REGISTRY,
     admission_comparison,
@@ -88,12 +88,12 @@ class TestCli:
         assert "fig09" in out and "appendix_c" in out
 
     def test_run_experiment(self, capsys):
-        assert run_experiment("fig14", seed=1) == 0
+        assert main(["run", "fig14", "--seed", "1", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "Pareto" in out
 
     def test_unknown_experiment(self, capsys):
-        assert run_experiment("nope", seed=0) == 2
+        assert main(["run", "nope", "--seed", "0", "--no-cache"]) == 2
 
     def test_registry_complete(self):
         """Every table/figure/appendix of the paper has a registry entry."""

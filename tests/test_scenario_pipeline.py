@@ -9,7 +9,9 @@ from repro.cli import main
 from repro.engine import ResultCache, content_digest, source_digest
 from repro.experiments import REGISTRY
 from repro.scenario import (
+    dump_spec,
     execute,
+    resolve_section,
     run_spec,
     run_spec_cached,
     sharded_summary,
@@ -23,6 +25,21 @@ SYNTH_DOC = {
     "source": {"model": "poisson", "n_packets": 6000},
     "validate": {"bin_width": 0.05, "min_level": 5},
 }
+
+#: A small config per dedicated kind that still runs every stage (the
+#: monitor's hurst-step stream needs a 60 s window for an online H).
+SMALL_CONFIGS = {
+    "flowsim": {"duration": 600.0, "n_nodes": 4, "sessions_per_hour": 900.0},
+    "monitor": {"duration": 60.0, "window": 60.0},
+    "shaping": {"n_packets": 4000, "rate_factors": [0.5],
+                "burst_seconds": [0.5], "shaper_rate_factors": [1.5]},
+    "superpose": {"replications": 8, "battery_sources": 256},
+    "synth": {"source": {"model": "poisson", "n_packets": 3000},
+              "validate": {"bin_width": 0.05, "min_level": 4}},
+}
+
+#: The keys every ``repro scenario run --json`` payload starts with.
+HEADER_KEYS = {"scenario", "kind", "seed", "spec_digest", "compute_time_s"}
 
 
 class TestShardBounds:
@@ -89,6 +106,24 @@ class TestSpecVsRegistryIdentity:
         out = run_spec(doc)
         assert out.rendered == REGISTRY["weathermap"](seed=2,
                                                       hours=24).render()
+
+
+class TestGeneratorSeeds:
+    """``execute`` takes any ``SeedLike``: ``repro run --spawn-seeds``
+    hands every registry entry a Generator."""
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+    def test_equal_generators_render_equal(self, kind):
+        a = execute(kind, SMALL_CONFIGS[kind], seed=np.random.default_rng(1))
+        b = execute(kind, SMALL_CONFIGS[kind], seed=np.random.default_rng(1))
+        assert a.render() == b.render()
+
+    def test_flowsim_control_keeps_ftp_flow_count(self):
+        """Both workloads replay one integer seed drawn from the stream,
+        so the exponential control still matches the ftp flows."""
+        out = execute("flowsim", SMALL_CONFIGS["flowsim"],
+                      seed=np.random.default_rng(1))
+        assert out.control.result.n_flows == out.ftp.result.n_flows
 
 
 class TestShortFlowsimRun:
@@ -217,6 +252,34 @@ class TestScenarioCli:
         assert bench.exists()
         on_disk = json.loads(bench.read_text())
         assert on_disk["battery"] == payload["battery"]
+
+    @pytest.mark.parametrize("kind, cfg, result_key", [
+        ("flowsim", SMALL_CONFIGS["flowsim"], "scenarios"),
+        ("flowsim", {**SMALL_CONFIGS["flowsim"], "workloads": ["ftp"]},
+         "scenarios"),
+        ("monitor", SMALL_CONFIGS["monitor"], "streams"),
+        ("shaping", SMALL_CONFIGS["shaping"], "cells"),
+        ("superpose", SMALL_CONFIGS["superpose"], "cells"),
+        ("synth", SMALL_CONFIGS["synth"], "battery"),
+    ], ids=["flowsim-pair", "flowsim-ftp", "monitor", "shaping",
+            "superpose", "synth"])
+    def test_json_carries_the_result(self, tmp_path, capsys, kind, cfg,
+                                     result_key):
+        """Every dedicated kind prints its result, not just the header,
+        and ``--out`` writes exactly what ``--json`` prints."""
+        path = self._write(tmp_path, dump_spec(
+            resolve_section(kind, cfg, name=f"cli-{kind}")))
+        rc = main(["scenario", "run", path, "--no-cache", "--json",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        printed = capsys.readouterr().out
+        payload = json.loads(printed)
+        assert result_key in set(payload) - HEADER_KEYS
+        bench = tmp_path / f"BENCH_scenario_cli-{kind}.json"
+        assert bench.read_text() == printed
+        if kind == "flowsim":
+            assert list(payload["scenarios"]) == cfg.get(
+                "workloads", ["ftp", "exponential"])
 
     def test_run_unknown_file_rc2(self, tmp_path, capsys):
         assert main(["scenario", "run",

@@ -526,12 +526,19 @@ class TestScenario:
 
 
 class TestCli:
-    def test_shaping_run_json(self, capsys):
-        rc = main([
-            "shaping", "run", "--packets", "30000",
-            "--rate-factors", "0.5", "--burst-seconds", "0.25,1.0",
-            "--shaper-rate-factors", "1.5", "--json",
-        ])
+    @staticmethod
+    def _spec(tmp_path, burst_seconds: str) -> str:
+        path = tmp_path / "shaping.toml"
+        path.write_text(
+            '[scenario]\nname = "shaping-cli"\nkind = "shaping"\n'
+            'seed = 7\n\n[shaping]\nn_packets = 30000\n'
+            f'rate_factors = [0.5]\nburst_seconds = [{burst_seconds}]\n'
+            'shaper_rate_factors = [1.5]\n')
+        return str(path)
+
+    def test_shaping_run_json(self, tmp_path, capsys):
+        rc = main(["scenario", "run", self._spec(tmp_path, "0.25, 1.0"),
+                   "--no-cache", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert out["recovery_ok"]
@@ -540,18 +547,14 @@ class TestCli:
                    if c["recovered"])
 
     def test_shaping_run_writes_bench_json(self, tmp_path, capsys):
-        rc = main([
-            "shaping", "run", "--packets", "30000",
-            "--rate-factors", "0.5", "--burst-seconds", "0.25",
-            "--shaper-rate-factors", "1.5",
-            "--out", str(tmp_path),
-        ])
+        rc = main(["scenario", "run", self._spec(tmp_path, "0.25"),
+                   "--no-cache", "--out", str(tmp_path)])
         capsys.readouterr()
         assert rc == 0
         payload = json.loads(
-            (tmp_path / "BENCH_shaping_run.json").read_text()
+            (tmp_path / "BENCH_scenario_shaping-cli.json").read_text()
         )
-        assert payload["recovery_ok"] and "wall_time_s" in payload
+        assert payload["recovery_ok"] and "compute_time_s" in payload
 
     def test_loopback_police_flag(self, capsys):
         rc = main([

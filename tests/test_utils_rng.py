@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils import as_rng, spawn_rngs
+from repro.utils.rng import int_seed
 
 
 def test_as_rng_none_returns_generator():
@@ -55,3 +56,10 @@ def test_spawn_rngs_zero():
 def test_spawn_rngs_negative_raises():
     with pytest.raises(ValueError):
         spawn_rngs(1, -1)
+
+
+def test_int_seed_passes_integers_and_draws_from_streams():
+    assert int_seed(5) == 5 and int_seed(np.int64(5)) == 5
+    drawn = int_seed(np.random.default_rng(1))
+    assert drawn == int_seed(np.random.default_rng(1))
+    assert drawn == int_seed(np.random.SeedSequence(1))
