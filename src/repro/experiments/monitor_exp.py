@@ -183,8 +183,16 @@ def run_config(cfg: dict, seed: SeedLike = 0,
     # Closed loop on the step stream: the monitor's final H against the
     # batch variance-time fit over the *identical* window of raw times.
     step_report = reports["hurst-step"]
-    last = next(s for s in reversed(step_report.snapshots)
-                if s.hurst is not None)
+    last = next((s for s in reversed(step_report.snapshots)
+                 if s.hurst is not None), None)
+    if last is None:
+        raise ValueError(
+            f"monitor.window = {window:g} s gave the hurst-step stream no "
+            f"online Hurst reading in {len(step_report.snapshots)} "
+            f"snapshots; the window needs enough {config.bin_width:g} s "
+            f"bins and events for a variance-time fit from level "
+            f"{config.min_level}"
+        )
     lo, hi = last.hurst.window_start, last.hurst.window_end
     window_times = streams["hurst-step"]
     window_times = window_times[(window_times >= lo) & (window_times < hi)]

@@ -13,6 +13,8 @@ import numpy as np
 
 
 def format_value(v) -> str:
+    if v is None:
+        return "-"
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, float):

@@ -74,17 +74,18 @@ def _moments(x: np.ndarray) -> tuple[float, float]:
     return skew, kurt
 
 
-def _hill_proxy(totals: np.ndarray) -> float:
+def _hill_proxy(totals: np.ndarray) -> float | None:
     """Hill tail-index of the upper deviations from the median.
 
     The stable-like regime shows up as a heavy *upper* tail of the
     replication workloads; centering on the median keeps the threshold
-    positive and robust to the Gaussian bulk."""
+    positive and robust to the Gaussian bulk.  ``None`` when there are
+    too few upper deviations (≤ 5) for an estimate."""
     dev = totals - np.median(totals)
     pos = dev[dev > 0]
     k = max(5, pos.size // 4)
     if pos.size <= k:
-        return float("nan")
+        return None
     return hill_estimator(pos, k)
 
 
@@ -100,7 +101,7 @@ class SuperposeCell:
     gaussian: bool         # A^2 consistent with normal at 5%
     skewness: float
     excess_kurtosis: float
-    hill_alpha: float      # stability-index proxy (upper deviations)
+    hill_alpha: float | None  # stability-index proxy (upper deviations)
 
     @property
     def as_expected(self) -> bool:
@@ -130,7 +131,8 @@ class SuperposePhaseDiagram:
                 "gaussian": c.gaussian,
                 "skew": round(c.skewness, 2),
                 "ex_kurt": round(c.excess_kurtosis, 2),
-                "hill_alpha": round(c.hill_alpha, 2),
+                "hill_alpha": (None if c.hill_alpha is None
+                               else round(c.hill_alpha, 2)),
                 "ok": c.as_expected,
             }
             for c in self.cells

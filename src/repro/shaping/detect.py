@@ -134,11 +134,14 @@ class PolicingVerdict:
     reason: str
 
     def payload(self) -> dict:
+        """JSON-ready fields; the rate and scale a verdict without a
+        plateau leaves undefined (NaN) are ``None``."""
         return {
             "policed": bool(self.policed),
-            "rate_bps": float(self.rate),
+            "rate_bps": None if math.isnan(self.rate) else float(self.rate),
             "confidence": float(self.confidence),
-            "scale_s": float(self.scale_s),
+            "scale_s": (None if math.isnan(self.scale_s)
+                        else float(self.scale_s)),
             "n_scales": int(self.n_scales),
             "plateau_share": float(self.plateau_share),
             "coverage": float(self.coverage),

@@ -12,17 +12,24 @@ Two elements, both driven by the deficit-GCRA conformance rule of
   an optional ``max_delay`` bounds the queue (arrivals whose shaping
   delay would exceed it are dropped, like a finite shaper buffer).
 
-The scan is array-native.  Within a run of accepted packets the GCRA
+The scan has two phases and picks between them from the run lengths it
+meets in its own input.  Within a run of accepted packets the GCRA
 backlog ``w_k = max(0, tat_k - t_k)`` obeys Lindley's recursion with
-service times ``cost_k / rate``, so the closed-form
-:func:`repro.kernels.lindley_waits` kernel computes whole accept runs at
-once; a violation (``w_k > burst_s + max_wait``) terminates the run, a
-vectorized ``searchsorted`` skips the ensuing drop run (every arrival
-before the conformance horizon ``tat - limit``), and the block size
-doubles on fully-accepted runs so accept-heavy traffic is O(n) with
-O(n / block) Python-level iterations.  On float64-exact inputs the scan
-is bit-identical to the scalar :meth:`GcraCore.offer` loop
-(:func:`reference_condition`), the equivalence the property tests pin.
+service times ``cost_k / rate``, so the **block phase** computes whole
+accept runs with the closed-form :func:`repro.kernels.lindley_waits`
+kernel, in blocks that start at 64 rows and double on every fully
+accepted block: accept-heavy traffic is O(n) with O(n / block)
+Python-level iterations.  A violation (``w_k > burst_s + max_wait``)
+hands the scan to the **scalar phase**.  Where a policer drops, accept
+runs shrink to a packet or two between drop runs, and a block of numpy
+calls per run costs more than it saves.  The scalar phase walks the
+rows one by one through memoryviews, with exactly
+:meth:`GcraCore.offer`'s arithmetic, and skips each drop run (every
+arrival before the conformance horizon ``tat - limit``) with one
+``bisect_left``.  After 64 consecutive accepts it hands back to the
+block phase.  On float64-exact inputs both phases are bit-identical to
+the scalar :meth:`GcraCore.offer` loop (:func:`reference_condition`),
+the equivalence the property tests pin.
 
 Fluid (rate-function) forms of both elements close the loop with the
 flow-level simulator, which represents a link's traffic as a piecewise
@@ -37,6 +44,7 @@ convolution ``OUT(t) = min(IN(t), min_{s<=t}(IN(s) - r s) + d + r t)``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +66,8 @@ __all__ = [
 
 _MIN_BLOCK = 64
 _MAX_BLOCK = 65536
+# Consecutive accepts after which the scalar phase hands back to blocks.
+_SCALAR_RUN = 64
 
 
 # ----------------------------------------------------------------------
@@ -143,15 +153,50 @@ class ConditioningResult:
 
 
 # ----------------------------------------------------------------------
-# The vectorized deficit-GCRA scan
+# The two-phase deficit-GCRA scan
 # ----------------------------------------------------------------------
+def _scalar_phase(times, service, accept, waits, i, tat, limit_s):
+    """Per-packet :meth:`GcraCore.offer` walk from row ``i`` (a
+    violation), over memoryviews of the scan's columns.
+
+    Each drop run is skipped with one ``bisect_left``; the walk stops
+    after ``_SCALAR_RUN`` consecutive accepts or at the end of the
+    column.  Returns ``(next_row, tat)``.
+    """
+    n = len(times)
+    run = 0
+    while i < n:
+        t = times[i]
+        w = tat - t
+        if w > limit_s:
+            # Drop run: every arrival strictly before the conformance
+            # horizon ``tat - limit`` is non-conforming and leaves the
+            # TAT untouched.
+            j = bisect_left(times, tat - limit_s, i)
+            i = max(j, i + 1)
+            run = 0
+            continue
+        accept[i] = True
+        if w > 0.0:
+            waits[i] = w
+            tat += service[i]
+        else:
+            tat = t + service[i]
+        i += 1
+        run += 1
+        if run == _SCALAR_RUN:
+            break
+    return i, tat
+
+
 def _gcra_scan(times, service, burst_s, limit_s, tat0=None):
     """Accept mask + pre-service backlog for a sorted arrival column.
 
     ``limit_s = burst_s + max_wait``: arrival ``k`` is accepted iff its
     backlog ``w_k <= limit_s``; a rejected arrival does not advance the
     TAT.  Returns ``(accept, waits, final_tat)``; ``waits`` holds the
-    Lindley backlog of accepted rows (0 for dropped rows).
+    Lindley backlog of accepted rows (0 for dropped rows).  Accept runs
+    go through Lindley blocks, violations through :func:`_scalar_phase`.
     """
     n = times.size
     accept = np.zeros(n, dtype=bool)
@@ -173,16 +218,12 @@ def _gcra_scan(times, service, burst_s, limit_s, tat0=None):
         final = times[-1] + waits[-1] + service[-1]
         return accept, waits, float(final)
 
+    views = tuple(memoryview(a) for a in (times, service, accept, waits))
     i = 0
     block = _MIN_BLOCK
     while i < n:
         if tat - times[i] > limit_s:
-            # Drop run: every arrival strictly before the conformance
-            # horizon ``tat - limit`` is non-conforming and leaves the
-            # TAT untouched — one searchsorted skips them all.
-            j = i + int(np.searchsorted(times[i:], tat - limit_s,
-                                        side="left"))
-            i = max(j, i + 1)
+            i, tat = _scalar_phase(*views, i, float(tat), limit_s)
             block = _MIN_BLOCK
             continue
         end = min(i + block, n)

@@ -42,6 +42,11 @@ SMALL_CONFIGS = {
 HEADER_KEYS = {"scenario", "kind", "seed", "spec_digest", "compute_time_s"}
 
 
+def _reject_constant(name):
+    """Strict JSON: ``NaN``/``Infinity`` tokens are not JSON."""
+    raise ValueError(f"payload holds the non-JSON constant {name}")
+
+
 class TestShardBounds:
     def test_partitions_exactly(self):
         for n in (0, 1, 7, 100):
@@ -143,6 +148,16 @@ class TestShortFlowsimRun:
             assert row["hurst_mean"] == row["hurst_min"] == "-"
             assert row["hurst_max"] == "-"
         assert "hurst_mean" in out.rendered
+
+
+class TestShortMonitorWindow:
+    def test_no_hurst_reading_is_a_typed_error(self):
+        """A window too short for any online H on the step stream names
+        ``monitor.window`` instead of leaking a bare StopIteration."""
+        with pytest.raises(ValueError,
+                           match=r"monitor\.window = 30 s .*hurst-step"):
+            execute("monitor", {"duration": 200.0, "rate": 20.0,
+                                "window": 30.0}, seed=1)
 
 
 class TestSynthSharding:
@@ -273,7 +288,7 @@ class TestScenarioCli:
                    "--out", str(tmp_path)])
         assert rc == 0
         printed = capsys.readouterr().out
-        payload = json.loads(printed)
+        payload = json.loads(printed, parse_constant=_reject_constant)
         assert result_key in set(payload) - HEADER_KEYS
         bench = tmp_path / f"BENCH_scenario_cli-{kind}.json"
         assert bench.read_text() == printed

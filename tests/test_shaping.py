@@ -135,22 +135,39 @@ class TestGcraCore:
 # Vectorized elements vs the scalar reference
 # ----------------------------------------------------------------------
 class TestScanMatchesReference:
+    # Power-of-two rates, so cost / rate is exact in float64.  Against
+    # the ~4.2 kB/s these columns offer, the finite-limit elements drop
+    # ~0%, ~6%, ~49% and ~87%: at 8192 the block phase does nearly all
+    # the work, at 4096 the scan switches phases a few times per
+    # column, and at 2048 and 512 the scalar phase runs from the first
+    # violation on.
+    @pytest.mark.parametrize("rate", [8192.0, 4096.0, 2048.0, 512.0])
     @pytest.mark.parametrize("element_cls,kwargs", [
         (TokenBucketPolicer, {}),
         (LeakyBucketShaper, {}),
         (LeakyBucketShaper, {"max_delay": 0.5}),
     ])
-    def test_bit_identical_on_exact_inputs(self, element_cls, kwargs):
+    def test_bit_identical_on_exact_inputs(self, element_cls, kwargs, rate):
         for seed in range(10):
             times, costs = _exact_arrivals(seed, 500)
-            # Power-of-two rate: cost / rate is exact in float64.
-            element = element_cls(rate=4096.0, depth=8192.0, **kwargs)
+            element = element_cls(rate=rate, depth=8192.0, **kwargs)
             fast = element.apply(times, costs)
             slow = reference_condition(element, times, costs)
             np.testing.assert_array_equal(fast.accept, slow.accept)
             np.testing.assert_array_equal(fast.emission_times,
                                           slow.emission_times)
             assert fast.final_tat == slow.final_tat  # exact, not approx
+
+    def test_drop_heavy_ftp_mask_matches_reference(self, dense):
+        # Heavy-tailed ftp bursts policed below their mean rate: long
+        # drop runs between short accept runs, on arbitrary floats.
+        times, costs, mean_rate = dense
+        rate = 0.6 * mean_rate
+        pol = TokenBucketPolicer(rate, 0.5 * rate)
+        fast = pol.apply(times, costs)
+        assert 0 < fast.n_dropped < fast.n
+        np.testing.assert_array_equal(
+            fast.accept, reference_condition(pol, times, costs).accept)
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(ValueError):
@@ -210,10 +227,14 @@ class TestElementProperties:
     @settings(max_examples=60, deadline=None)
     def test_tat_carry_makes_any_split_exact(self, seed, n, k):
         # Float64-exact columns: the split result is *bit-identical*.
+        # Rate 512 drops ~87% of these columns, so splits land inside
+        # drop runs; rate 4096 drops ~7%, so they land inside blocks.
         times, costs = _exact_arrivals(seed, n)
         k = min(k, n - 1)
         for element in (TokenBucketPolicer(512.0, 1024.0),
-                        LeakyBucketShaper(512.0, 1024.0)):
+                        LeakyBucketShaper(512.0, 1024.0),
+                        TokenBucketPolicer(4096.0, 8192.0),
+                        LeakyBucketShaper(4096.0, 8192.0, max_delay=0.5)):
             whole = element.apply(times, costs)
             a = element.apply(times[:k], costs[:k])
             b = element.apply(times[k:], costs[k:], tat=a.final_tat)
