@@ -5,28 +5,21 @@ Two faces, mirroring ``bench_kernels.py`` / ``bench_traces.py``:
 * **pytest-benchmark micro-tests** (run with
   ``pytest benchmarks/bench_flowsim.py --benchmark-only``) timing the
   event core and the per-link array exports on their own;
-* **a CLI** (``PYTHONPATH=src python benchmarks/bench_flowsim.py``) that
-  times both disciplines and the end-to-end scenario, and records the
-  baseline in ``BENCH_flowsim.json``.  Each case is normalized against a
-  bare ``heapq`` push/pop loop over the same event count, so the recorded
-  ratio is machine-independent; ``--check BASELINE`` fails when any
-  case's normalized ratio regressed past 1.5x.
+* **a CLI** (``PYTHONPATH=src python benchmarks/bench_flowsim.py``, see
+  :mod:`harness`) that times both disciplines, the per-link export and
+  the end-to-end scenario, each against a bare ``heapq`` push/pop loop
+  over its event count, and records the ratios in ``BENCH_flowsim.json``;
+  ``--check BASELINE`` fails when a ratio regressed past 1.5x.
 
-The ``full`` scale is the PR's acceptance target: 10^5+ flows through a
-10-node topology, end to end in seconds.
+The ``full`` scale runs 10^5 flows through a 10-node topology.
 """
 
-import argparse
 import heapq
-import json
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import harness
+from harness import Case
 from repro.flowsim import FlowScenario, FlowSimulator, FlowTable
 from repro.flowsim.topology import line_topology
 
@@ -83,20 +76,16 @@ def test_byte_process_export(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: normalized event-core timings for BENCH_flowsim.json
+# CLI: heap-normalized event-core timings (BENCH_flowsim.json)
 # ----------------------------------------------------------------------
-def _time(fn, repeats):
-    best = np.inf
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def _heap_case(name, n, run, n_events):
+    return Case(name, n, run, f"heapq x{n_events}",
+                lambda: _heap_baseline(n_events))
 
 
 def flowsim_cases(scale):
-    """Yield (name, n_flows, run_fn, n_events)."""
+    """The event core, the export and the scenario, each against the heap
+    floor of its event count."""
     full = scale == "full"
     n = 100_000 if full else 20_000
     n_nodes = 10
@@ -105,20 +94,21 @@ def flowsim_cases(scale):
     flows = _flows(n, span, n_nodes)
 
     # ~2 heap events per flow in the fair loop (open + close)
-    yield ("fair_run", n,
-           lambda: FlowSimulator(topo, "fair").run(flows), 2 * n)
+    yield _heap_case("fair_run", n,
+                     lambda: FlowSimulator(topo, "fair").run(flows), 2 * n)
 
     # fifo pays one heap event per hop; mean path length ~ n_nodes / 3
     n_fifo = n if full else n // 2
     fifo_flows = _flows(n_fifo, span, n_nodes, seed=1)
-    yield ("fifo_run", n_fifo,
-           lambda: FlowSimulator(topo, "fifo").run(fifo_flows),
-           n_fifo * max(n_nodes // 3, 1))
+    yield _heap_case("fifo_run", n_fifo,
+                     lambda: FlowSimulator(topo, "fifo").run(fifo_flows),
+                     n_fifo * max(n_nodes // 3, 1))
 
     res = FlowSimulator(topo, "fair").run(flows)
     busiest = max(res.links, key=lambda s: s.n_flows)
-    yield ("byte_process_export", busiest.n_flows,
-           lambda: busiest.byte_process(1.0, start=0.0, end=span), 2 * n)
+    yield _heap_case("byte_process_export", busiest.n_flows,
+                     lambda: busiest.byte_process(1.0, start=0.0, end=span),
+                     2 * n)
 
     sessions = 4000.0 if full else 1000.0
     scenario = FlowScenario(
@@ -126,84 +116,10 @@ def flowsim_cases(scale):
         sessions_per_hour=sessions,
         bin_width=1.0 if full else 0.5,  # keep enough bins for the H fit
     )
-    yield ("scenario_end_to_end", None,
-           lambda: scenario.run(seed=0), 2 * n)
-
-
-def run_suite(scale, repeats):
-    results = {}
-    for name, n, fn, n_events in flowsim_cases(scale):
-        heap_s, _ = _time(lambda: _heap_baseline(n_events), repeats)
-        case_s, out = _time(fn, repeats)
-        row = {
-            "case_s": round(case_s, 6),
-            "heap_baseline_s": round(heap_s, 6),
-            "ratio": round(case_s / heap_s, 3),
-        }
-        if n is not None:
-            row["n_flows"] = int(n)
-            row["flows_per_second"] = round(n / case_s, 1)
-        if name == "scenario_end_to_end":
-            row["n_flows"] = int(out.result.n_flows)
-            row["flows_per_second"] = round(out.result.n_flows / case_s, 1)
-            row["mean_hurst"] = round(out.mean_hurst, 3)
-        results[name] = row
-        extra = (f"  {row['flows_per_second']:>12,.0f} flows/s"
-                 if "flows_per_second" in row else "")
-        print(f"{name:22s} {case_s:9.4f}s  heap {heap_s:9.4f}s  "
-              f"ratio {row['ratio']:8.2f}{extra}")
-    return results
-
-
-def check_against(baseline_path, scale, results, factor=1.5):
-    """Fail when any case's heap-normalized ratio regressed past
-    ``factor`` x the recorded one (machine speed cancels)."""
-    payload = json.loads(Path(baseline_path).read_text())
-    base = payload.get("scales", {}).get(scale)
-    if base is None:
-        raise SystemExit(f"baseline {baseline_path} has no '{scale}' scale")
-    failures = []
-    for name, now in results.items():
-        then = base.get(name)
-        if then is None:
-            continue  # new case: no baseline yet
-        if now["case_s"] < 0.005 and now["ratio"] <= then["ratio"]:
-            continue  # timer-resolution noise, and not slower anyway
-        if now["ratio"] > factor * then["ratio"]:
-            failures.append(
-                f"{name}: normalized ratio {now['ratio']:.3f} exceeds "
-                f"{factor}x baseline {then['ratio']:.3f}"
-            )
-    if failures:
-        raise SystemExit("flowsim benchmark regressions:\n  "
-                         + "\n  ".join(failures))
-    print(f"check passed: no case slower than {factor}x its recorded ratio")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("small", "full"), default="small")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(Path(__file__).parent
-                                             / "BENCH_flowsim.json"))
-    parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against a recorded baseline and fail "
-                             "on >1.5x normalized regressions")
-    args = parser.parse_args(argv)
-
-    results = run_suite(args.scale, args.repeats)
-    if args.check:
-        check_against(args.check, args.scale, results)
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    payload = (json.loads(out.read_text())
-               if out.exists() else {"script": "benchmarks/bench_flowsim.py"})
-    payload.setdefault("scales", {})[args.scale] = results
-    payload["repeats"] = args.repeats
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    yield _heap_case("scenario_end_to_end",
+                     scenario.run(seed=0).result.n_flows,
+                     lambda: scenario.run(seed=0), 2 * n)
 
 
 if __name__ == "__main__":
-    main()
+    harness.main(__file__, flowsim_cases)

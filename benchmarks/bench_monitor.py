@@ -5,29 +5,21 @@ Two faces, mirroring ``bench_flowsim.py`` / ``bench_kernels.py``:
 * **pytest-benchmark micro-tests** (run with
   ``pytest benchmarks/bench_monitor.py --benchmark-only``) timing the
   windowed sketches and the full service on their own;
-* **a CLI** (``PYTHONPATH=src python benchmarks/bench_monitor.py``) that
-  times each windowed sketch and the end-to-end service, and records the
-  baseline in ``BENCH_monitor.json``.  Each case is normalized against a
-  bare chunked searchsorted+bincount loop over the same event count — the
-  floor any array-native windowed collector pays — so the recorded ratio
-  is machine-independent; ``--check BASELINE`` fails when any case's
-  normalized ratio regressed past 1.5x.
-
-The acceptance target: the service sustains well over 10^5 events/s of
-monitoring — orders of magnitude above the traces the paper studied —
-in O(window) memory.
+* **a CLI** (``PYTHONPATH=src python benchmarks/bench_monitor.py``, see
+  :mod:`harness`) that times each windowed sketch on exactly what
+  ``MonitorService.observe`` feeds it, and the service end to end, and
+  records the ratios in ``BENCH_monitor.json``.  Each case is normalized
+  by a bare searchsorted+bincount pass over the same one-second batches
+  at the same bin width — the floor any array-native windowed collector
+  pays; ``--check BASELINE`` fails when a ratio regressed past 1.5x.
 """
 
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
+import math
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import harness
+from harness import Case
 from repro.monitor import (
     DecayedTopK,
     MonitorConfig,
@@ -38,7 +30,10 @@ from repro.monitor import (
     pareto_stream,
 )
 
-CHUNK = 1024
+#: The service configuration the end-to-end case and perfbench's
+#: monitor-live workload run: 60 s window, 0.05 s bins, derived decay.
+CONFIG = MonitorConfig(window=60.0, bin_width=0.05, snapshot_every=5.0,
+                       rate_tick=0.5)
 
 
 def _stream(n_events, rate=200.0, seed=0):
@@ -47,17 +42,13 @@ def _stream(n_events, rate=200.0, seed=0):
     return times[:n_events]
 
 
-def _chunks(times):
-    return [times[i:i + CHUNK] for i in range(0, times.size, CHUNK)]
-
-
-def _array_baseline(chunks, edges):
-    """Chunked searchsorted + bincount over the same arrivals: the floor
+def _array_baseline(batches, edges):
+    """Batched searchsorted + bincount over the same arrivals: the floor
     any array-native windowed collector pays, used to normalize away
     machine speed."""
     total = 0
-    for chunk in chunks:
-        idx = np.searchsorted(edges, chunk, side="right")
+    for batch in batches:
+        idx = np.searchsorted(edges, batch, side="right")
         total += int(np.bincount(idx, minlength=edges.size + 1).sum())
     return total
 
@@ -67,12 +58,12 @@ def _array_baseline(chunks, edges):
 # ----------------------------------------------------------------------
 def test_sliding_ladder_200k(benchmark):
     times = _stream(200_000)
-    chunks = _chunks(times)
+    batches = list(iter_batches(times, 1.0))
 
     def run():
-        ladder = SlidingCountLadder(0.01, window=60.0)
-        for chunk in chunks:
-            ladder.update(chunk)
+        ladder = SlidingCountLadder(CONFIG.bin_width, window=CONFIG.window)
+        for batch in batches:
+            ladder.update(batch)
         return ladder
 
     ladder = benchmark(run)
@@ -83,11 +74,9 @@ def test_sliding_ladder_200k(benchmark):
 def test_service_end_to_end_100k(benchmark):
     times = _stream(100_000)
     batches = list(iter_batches(times, 1.0))
-    config = MonitorConfig(window=60.0, bin_width=0.05, snapshot_every=5.0,
-                           rate_tick=0.5)
 
     def run():
-        service = MonitorService(config)
+        service = MonitorService(CONFIG)
         for batch in batches:
             service.observe(batch)
         return service.finalize()
@@ -98,144 +87,70 @@ def test_service_end_to_end_100k(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: normalized timings for BENCH_monitor.json
+# CLI: the service's sketches on the service's input (BENCH_monitor.json)
 # ----------------------------------------------------------------------
-def _time(fn, repeats):
-    best = np.inf
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def _observed_gaps(batches):
+    """Per batch, the interarrival gaps ``MonitorService.observe`` derives
+    (chained across batches) and the arrival that closed each gap."""
+    out, last = [], -math.inf
+    for arr in batches:
+        gaps = (np.diff(arr, prepend=last) if math.isfinite(last)
+                else np.diff(arr))
+        out.append((gaps, arr[arr.size - gaps.size:]))
+        last = max(last, float(arr[-1]))
+    return out
 
 
 def monitor_cases(scale):
-    """Yield (name, n_events, run_fn)."""
-    full = scale == "full"
-    n = 1_000_000 if full else 200_000
+    """Each sketch fed as ``MonitorService.observe`` feeds it, and the
+    service itself, against the bincount floor over the same batches."""
+    n = 1_000_000 if scale == "full" else 200_000
     times = _stream(n)
-    chunks = _chunks(times)
+    batches = list(iter_batches(times, 1.0))
+    edges = np.arange(0.0, float(times[-1]) + 1.0, CONFIG.bin_width)
+    gaps = [(g, s) for g, s in _observed_gaps(batches) if g.size]
+    positive = [(g[g > 0], s[g > 0]) for g, s in gaps if np.any(g > 0)]
+
+    def case(name, run):
+        return Case(name, n, run, "searchsorted+bincount",
+                    lambda: _array_baseline(batches, edges))
 
     def ladder_run():
-        ladder = SlidingCountLadder(0.01, window=60.0)
-        for chunk in chunks:
-            ladder.update(chunk)
+        ladder = SlidingCountLadder(CONFIG.bin_width, start=CONFIG.start,
+                                    window=CONFIG.window)
+        for batch in batches:
+            ladder.update(batch)
         return ladder
 
-    yield ("ladder_update", n, ladder_run)
-
-    gap_chunks = [np.diff(c) for c in chunks]
-    gap_stamps = [c[1:] for c in chunks]
+    yield case("ladder_update", ladder_run)
 
     def topk_run():
-        topk = DecayedTopK(4096, decay=0.01)
-        for gaps, stamps in zip(gap_chunks, gap_stamps):
-            pos = gaps > 0
-            topk.update(gaps[pos], stamps[pos])
+        topk = DecayedTopK(CONFIG.tail_capacity,
+                           decay=CONFIG.effective_decay())
+        for g, s in positive:
+            topk.update(g, s)
         return topk
 
-    yield ("topk_update", n, topk_run)
+    yield case("topk_update", topk_run)
 
     def quantile_run():
-        sketch = WindowedQuantileSketch(512, window=60.0, n_panes=8)
-        for gaps, stamps in zip(gap_chunks, gap_stamps):
-            sketch.update(gaps, stamps)
+        sketch = WindowedQuantileSketch(
+            CONFIG.quantile_capacity, window=CONFIG.window,
+            n_panes=CONFIG.n_panes, start=CONFIG.start)
+        for g, s in gaps:
+            sketch.update(g, s)
         return sketch
 
-    yield ("quantile_update", n, quantile_run)
-
-    batches = list(iter_batches(times, 1.0))
-    config = MonitorConfig(window=60.0, bin_width=0.05, snapshot_every=5.0,
-                           rate_tick=0.5)
+    yield case("quantile_update", quantile_run)
 
     def service_run():
-        service = MonitorService(config)
+        service = MonitorService(CONFIG)
         for batch in batches:
             service.observe(batch)
         return service.finalize()
 
-    yield ("service_end_to_end", n, service_run)
-
-
-def run_suite(scale, repeats):
-    full = scale == "full"
-    n = 1_000_000 if full else 200_000
-    times = _stream(n)
-    chunks = _chunks(times)
-    edges = np.arange(0.0, float(times[-1]) + 1.0, 0.01)
-
-    results = {}
-    for name, n_events, fn in monitor_cases(scale):
-        base_s, _ = _time(lambda: _array_baseline(chunks, edges), repeats)
-        case_s, out = _time(fn, repeats)
-        row = {
-            "case_s": round(case_s, 6),
-            "array_baseline_s": round(base_s, 6),
-            "ratio": round(case_s / base_s, 3),
-            "n_events": int(n_events),
-            "events_per_second": round(n_events / case_s, 1),
-        }
-        if name == "service_end_to_end":
-            row["n_snapshots"] = len(out.snapshots)
-            row["memory_bytes"] = int(out.memory_bytes)
-            row["final_verdict"] = out.final_verdict
-        results[name] = row
-        print(f"{name:20s} {case_s:9.4f}s  base {base_s:9.4f}s  "
-              f"ratio {row['ratio']:8.2f}  "
-              f"{row['events_per_second']:>12,.0f} ev/s")
-    return results
-
-
-def check_against(baseline_path, scale, results, factor=1.5):
-    """Fail when any case's normalized ratio regressed past ``factor`` x
-    the recorded one (machine speed cancels)."""
-    payload = json.loads(Path(baseline_path).read_text())
-    base = payload.get("scales", {}).get(scale)
-    if base is None:
-        raise SystemExit(f"baseline {baseline_path} has no '{scale}' scale")
-    failures = []
-    for name, now in results.items():
-        then = base.get(name)
-        if then is None:
-            continue  # new case: no baseline yet
-        if now["case_s"] < 0.005 and now["ratio"] <= then["ratio"]:
-            continue  # timer-resolution noise, and not slower anyway
-        if now["ratio"] > factor * then["ratio"]:
-            failures.append(
-                f"{name}: normalized ratio {now['ratio']:.3f} exceeds "
-                f"{factor}x baseline {then['ratio']:.3f}"
-            )
-    if failures:
-        raise SystemExit("monitor benchmark regressions:\n  "
-                         + "\n  ".join(failures))
-    print(f"check passed: no case slower than {factor}x its recorded ratio")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("small", "full"), default="small")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(Path(__file__).parent
-                                             / "BENCH_monitor.json"))
-    parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against a recorded baseline and fail "
-                             "on >1.5x normalized regressions")
-    args = parser.parse_args(argv)
-
-    results = run_suite(args.scale, args.repeats)
-    if args.check:
-        check_against(args.check, args.scale, results)
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    payload = (json.loads(out.read_text())
-               if out.exists() else {"script": "benchmarks/bench_monitor.py"})
-    payload.setdefault("scales", {})[args.scale] = results
-    payload["repeats"] = args.repeats
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    yield case("service_end_to_end", service_run)
 
 
 if __name__ == "__main__":
-    main()
+    harness.main(__file__, monitor_cases)

@@ -5,25 +5,18 @@ Two faces, mirroring ``bench_flowsim.py``:
 * **pytest-benchmark micro-tests** (run with
   ``pytest benchmarks/bench_shaping.py --benchmark-only``) timing the
   vectorized GCRA scans and the policing detector on their own;
-* **a CLI** (``PYTHONPATH=src python benchmarks/bench_shaping.py``) that
-  records the baseline in ``BENCH_shaping.json``.  Each case is
-  normalized against the scalar ``GcraCore.offer`` reference loop over
-  a fixed 20k-packet slice of the same input — the semantics the scans
-  must reproduce bit-for-bit — so the recorded ratio is
-  machine-independent; ``--check BASELINE`` fails when any case's
-  normalized ratio regressed past 1.5x.
+* **a CLI** (``PYTHONPATH=src python benchmarks/bench_shaping.py``, see
+  :mod:`harness`) that records the ratios in ``BENCH_shaping.json``.
+  Each case is normalized by the scalar ``GcraCore.offer`` reference loop
+  over a fixed 20k-packet slice of the same input — the semantics the
+  scans must reproduce bit-for-bit — scaled to the input length;
+  ``--check BASELINE`` fails when a ratio regressed past 1.5x.
 """
-
-import argparse
-import json
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import harness
+from harness import Case
 from repro.shaping import (
     LeakyBucketShaper,
     PolicingDetector,
@@ -42,18 +35,6 @@ def _packets(n, seed=0, rate=50_000.0):
     times = np.cumsum(gaps)
     costs = rng.uniform(40.0, 1500.0, n)
     return times, costs
-
-
-def _scalar_reference_s(times, costs, element, repeats):
-    """Best-of-N scalar ``GcraCore.offer`` loop time over the reference
-    slice, scaled to the full input length (per-packet cost is flat)."""
-    t, c = times[:_REF_N], costs[:_REF_N]
-    best = np.inf
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        reference_condition(element, t, c)
-        best = min(best, time.perf_counter() - t0)
-    return best * (times.size / t.size)
 
 
 # ----------------------------------------------------------------------
@@ -83,41 +64,35 @@ def test_detect_times_500k(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: normalized scan timings for BENCH_shaping.json
+# CLI: scalar-normalized scan timings (BENCH_shaping.json)
 # ----------------------------------------------------------------------
-def _time(fn, repeats):
-    best = np.inf
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+def _scalar_case(name, run, times, costs, element):
+    """``run`` against the scalar ``GcraCore.offer`` loop of ``element``
+    over the reference slice, scaled to the input length (per-packet cost
+    is flat)."""
+    t, c = times[:_REF_N], costs[:_REF_N]
+    return Case(name, times.size, run, "reference_condition",
+                lambda: reference_condition(element, t, c),
+                ref_scale=times.size / t.size)
 
 
-def shaping_cases(scale, repeats):
-    """Yield (name, n_packets, run_fn, scalar_reference_s)."""
+def shaping_cases(scale):
+    """The GCRA scans with and without drops, and the detector."""
     n = 1_000_000 if scale == "full" else 200_000
     times, costs = _packets(n)
     rate, depth = 400_000.0, 100_000.0
 
     pol = TokenBucketPolicer(rate, depth)
-    yield ("policer_scan", n, lambda: pol.apply(times, costs),
-           _scalar_reference_s(times, costs, pol, repeats))
-
     sh = LeakyBucketShaper(rate, depth)
-    yield ("shaper_scan", n, lambda: sh.apply(times, costs),
-           _scalar_reference_s(times, costs, sh, repeats))
-
     bounded = LeakyBucketShaper(rate, depth, max_delay=0.05)
-    yield ("bounded_shaper_scan", n, lambda: bounded.apply(times, costs),
-           _scalar_reference_s(times, costs, bounded, repeats))
-
-    # The cases above offer ~26.6 kB/s and never drop.  Rated from the
-    # input's own mean byte rate, 0.8x drops ~38% and 0.1x ~92%, the
-    # regime a policer meets on heavy-tailed traffic.
+    # These offer ~26.6 kB/s and never drop.  Rated from the input's own
+    # mean byte rate, 0.8x drops ~38% and 0.1x ~92%, the regime a policer
+    # meets on heavy-tailed traffic.
     mean_rate = costs.sum() / (times[-1] - times[0])
     for name, element in (
+        ("policer_scan", pol),
+        ("shaper_scan", sh),
+        ("bounded_shaper_scan", bounded),
         ("policer_scan_drop40", TokenBucketPolicer(0.8 * mean_rate,
                                                    0.2 * mean_rate)),
         ("policer_scan_drop90", TokenBucketPolicer(0.1 * mean_rate,
@@ -126,16 +101,16 @@ def shaping_cases(scale, repeats):
          LeakyBucketShaper(0.8 * mean_rate, 0.2 * mean_rate,
                            max_delay=0.05)),
     ):
-        yield (name, n, lambda el=element: el.apply(times, costs),
-               _scalar_reference_s(times, costs, element, repeats))
+        yield _scalar_case(name, lambda el=element: el.apply(times, costs),
+                           times, costs, element)
 
-    policed = pol.apply(times, costs)
-    pt, pc = policed.accepted_times, policed.accepted_costs
     # The detector has no scalar twin; normalize against the policer's
     # reference loop over the same survivors so machine speed cancels.
-    det_ref = _scalar_reference_s(pt, pc, TokenBucketPolicer(rate, depth),
-                                  repeats)
-    yield ("detect_times", pt.size, lambda: detect_times(pt, pc), det_ref)
+    policed = pol.apply(times, costs)
+    pt, pc = policed.accepted_times, policed.accepted_costs
+    det_pol = TokenBucketPolicer(rate, depth)
+    yield _scalar_case("detect_times", lambda: detect_times(pt, pc),
+                       pt, pc, det_pol)
 
     def _sharded_detect(parts=8):
         bounds = np.linspace(0, pt.size, parts + 1).astype(int)
@@ -149,76 +124,9 @@ def shaping_cases(scale, repeats):
             whole.merge(d)
         return whole.infer()
 
-    yield ("detect_sharded_merge", pt.size, _sharded_detect, det_ref)
-
-
-def run_suite(scale, repeats):
-    results = {}
-    for name, n, fn, ref_s in shaping_cases(scale, repeats):
-        case_s, out = _time(fn, repeats)
-        row = {
-            "case_s": round(case_s, 6),
-            "scalar_reference_s": round(ref_s, 6),
-            "ratio": round(case_s / ref_s, 4),
-            "n_packets": int(n),
-            "packets_per_second": round(n / case_s, 1),
-        }
-        results[name] = row
-        print(f"{name:26s} {case_s:9.4f}s  scalar {ref_s:9.4f}s  "
-              f"ratio {row['ratio']:8.3f}  "
-              f"{row['packets_per_second']:>14,.0f} pkt/s")
-    return results
-
-
-def check_against(baseline_path, scale, results, factor=1.5):
-    """Fail when any case's scalar-normalized ratio regressed past
-    ``factor`` x the recorded one (machine speed cancels)."""
-    payload = json.loads(Path(baseline_path).read_text())
-    base = payload.get("scales", {}).get(scale)
-    if base is None:
-        raise SystemExit(f"baseline {baseline_path} has no '{scale}' scale")
-    failures = []
-    for name, now in results.items():
-        then = base.get(name)
-        if then is None:
-            continue  # new case: no baseline yet
-        if now["case_s"] < 0.005 and now["ratio"] <= then["ratio"]:
-            continue  # timer-resolution noise, and not slower anyway
-        if now["ratio"] > factor * then["ratio"]:
-            failures.append(
-                f"{name}: normalized ratio {now['ratio']:.4f} exceeds "
-                f"{factor}x baseline {then['ratio']:.4f}"
-            )
-    if failures:
-        raise SystemExit("shaping benchmark regressions:\n  "
-                         + "\n  ".join(failures))
-    print(f"check passed: no case slower than {factor}x its recorded ratio")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("small", "full"), default="small")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(Path(__file__).parent
-                                             / "BENCH_shaping.json"))
-    parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against a recorded baseline and fail "
-                             "on >1.5x normalized regressions")
-    args = parser.parse_args(argv)
-
-    results = run_suite(args.scale, args.repeats)
-    if args.check:
-        check_against(args.check, args.scale, results)
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    payload = (json.loads(out.read_text())
-               if out.exists() else {"script": "benchmarks/bench_shaping.py"})
-    payload.setdefault("scales", {})[args.scale] = results
-    payload["repeats"] = args.repeats
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    yield _scalar_case("detect_sharded_merge", _sharded_detect,
+                       pt, pc, det_pol)
 
 
 if __name__ == "__main__":
-    main()
+    harness.main(__file__, shaping_cases)

@@ -5,37 +5,29 @@ Two faces, mirroring ``bench_monitor.py`` / ``bench_kernels.py``:
 * **pytest-benchmark micro-tests** (run with
   ``pytest benchmarks/bench_superpose.py --benchmark-only``) timing the
   batched ON/OFF and renewal kernels on their own;
-* **a CLI** (``PYTHONPATH=src python benchmarks/bench_superpose.py``) that
-  times each kernel against the frozen per-source loops from
-  :mod:`repro.kernels.reference`, re-verifies the bit-identity contracts,
-  and records the baseline in ``BENCH_superpose.json``.  Each case's
-  ``ratio`` is batched-time-per-source over loop-time-per-source (the
-  loop is timed on a fixed-size subsample — it is per-source linear, so
-  the per-source normalization is honest and keeps full-scale runs
-  affordable), which makes the recorded numbers machine-independent;
-  ``--check BASELINE`` fails when any case's normalized ratio regressed
-  past 1.5x.
+* **a CLI** (``PYTHONPATH=src python benchmarks/bench_superpose.py``, see
+  :mod:`harness`) that times each kernel against the frozen per-source
+  loops from :mod:`repro.kernels.reference`, re-verifies the
+  bit-identity contracts, and records the ratios in
+  ``BENCH_superpose.json``.  The loops are timed on a fixed-size
+  subsample and scaled to the case's source count (they are per-source
+  linear, so the scaled time is honest, and full-scale runs stay
+  affordable); ``--check BASELINE`` fails when a contract breaks or a
+  ratio regressed past 1.5x.
 
-The acceptance target: the batched ON/OFF kernel is >= 20x faster than
-the frozen loop at 10^5 sources (``speedup_x`` of the ``onoff_pareto``
-case at ``--scale full``), and the shared-memory fan-out moves only
-metadata across the process boundary (``meta_bytes`` vs
-``buffer_bytes`` of the ``shared_pool`` case) while staying bit-identical
-to the serial path.
+The ``full`` scale runs the batched ON/OFF kernel at 10^5 sources, where
+it is more than 20x faster per source than the frozen loop.  The
+``shared_pool`` case fans the kernel out over two workers against the
+serial path: it must stay bit-identical and move only metadata across
+the process boundary.
 """
 
-import argparse
-import json
 import pickle
-import resource
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import harness
+from harness import Case
 from repro.arrivals.onoff import OnOffSource
 from repro.distributions.pareto import Pareto
 from repro.kernels import (
@@ -56,6 +48,9 @@ CHUNK = 4096
 #: Sources the frozen loops are timed on (they are per-source linear, so
 #: per-source time from a subsample extrapolates honestly).
 LOOP_SAMPLE = 300
+#: Ceiling on pickled metadata bytes per byte of the shared-pool partial
+#: aggregates: 1.5x the 1.875e-4 that 8 chunk tasks of 20k bins move.
+META_RATIO_MAX = 1.5 * 1.875e-4
 
 
 # ----------------------------------------------------------------------
@@ -86,199 +81,78 @@ def test_renewal_batched_20k(benchmark):
 
 
 # ----------------------------------------------------------------------
-# CLI: normalized timings for BENCH_superpose.json
+# CLI: batched kernels against the per-source loops (BENCH_superpose.json)
 # ----------------------------------------------------------------------
-def _time(fn, repeats):
-    best = np.inf
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
-def _per_source_row(n_sources, batched_s, loop_sample, loop_s):
-    batched_per = batched_s / n_sources
-    loop_per = loop_s / loop_sample
-    return {
-        "case_s": round(batched_s, 6),
-        "n_sources": int(n_sources),
-        "loop_sample": int(loop_sample),
-        "loop_sample_s": round(loop_s, 6),
-        "batched_us_per_source": round(batched_per * 1e6, 3),
-        "loop_us_per_source": round(loop_per * 1e6, 3),
-        "ratio": round(batched_per / loop_per, 5),
-        "speedup_x": round(loop_per / batched_per, 2),
-    }
-
-
-def run_suite(scale, repeats):
+def superpose_cases(scale):
+    """The batched kernels against their frozen loops, and the
+    shared-memory fan-out against the serial path."""
     full = scale == "full"
     n = 100_000 if full else 20_000
-    results = {}
 
-    # -- batched ON/OFF vs frozen loop (the >= 20x acceptance case) -----
-    batched_s, batched = _time(
-        lambda: superpose_onoff(n, N_BINS, BIN_WIDTH, source=SOURCE,
-                                seed=0, chunk=CHUNK),
-        repeats,
-    )
-    loop_s, loop_sub = _time(
-        lambda: multiplex_onoff_loop(LOOP_SAMPLE, N_BINS, BIN_WIDTH,
-                                     SOURCE, seed=0),
-        repeats,
-    )
     # Identity on the subsample: same seed, chunk >= n -> same float tree.
-    exact = superpose_onoff(LOOP_SAMPLE, N_BINS, BIN_WIDTH, source=SOURCE,
-                            seed=0, chunk=LOOP_SAMPLE)
-    assert np.array_equal(exact, loop_sub), "batched != loop on same seed"
-    results["onoff_pareto"] = _per_source_row(
-        n, batched_s, LOOP_SAMPLE, loop_s)
-    results["onoff_pareto"]["identity"] = "exact"
+    yield Case("onoff_pareto", n,
+               lambda: superpose_onoff(n, N_BINS, BIN_WIDTH, source=SOURCE,
+                                       seed=0, chunk=CHUNK),
+               "reference.multiplex_onoff_loop",
+               lambda: multiplex_onoff_loop(LOOP_SAMPLE, N_BINS, BIN_WIDTH,
+                                            SOURCE, seed=0),
+               ref_scale=n / LOOP_SAMPLE,
+               identical=lambda loop, _: np.array_equal(
+                   loop, superpose_onoff(LOOP_SAMPLE, N_BINS, BIN_WIDTH,
+                                         source=SOURCE, seed=0,
+                                         chunk=LOOP_SAMPLE)))
 
-    # -- grouped replication sweep vs one-call-per-replication ----------
+    # Grouped replication sweep against one call per replication, the
+    # per-call path timed on 4 replications.
     reps, group = (128, 8) if full else (32, 8)
-    grouped_s, grouped = _time(
-        lambda: superpose_onoff_groups(reps, group, 1, 16_384.0,
-                                       source=SOURCE, seed=0, chunk=CHUNK),
-        repeats,
-    )
-    percall_s, _ = _time(
-        lambda: [
-            superpose_onoff(group, 1, 16_384.0, source=SOURCE, seed=seq,
-                            chunk=CHUNK)
-            for seq in np.random.SeedSequence(0).spawn(
-                reps * group)[::group][:4]
-        ],
-        repeats,
-    )
-    # per-replication time: grouped amortizes all reps, per-call timed on 4
-    results["grouped_onoff"] = {
-        "case_s": round(grouped_s, 6),
-        "replications": reps,
-        "group_size": group,
-        "grouped_s_per_rep": round(grouped_s / reps, 6),
-        "percall_s_per_rep": round(percall_s / 4, 6),
-        "ratio": round((grouped_s / reps) / (percall_s / 4), 5),
-        "speedup_x": round((percall_s / 4) / (grouped_s / reps), 2),
-    }
+    yield Case("grouped_onoff", reps,
+               lambda: superpose_onoff_groups(reps, group, 1, 16_384.0,
+                                              source=SOURCE, seed=0,
+                                              chunk=CHUNK),
+               "superpose_onoff per replication",
+               lambda: [
+                   superpose_onoff(group, 1, 16_384.0, source=SOURCE,
+                                   seed=seq, chunk=CHUNK)
+                   for seq in np.random.SeedSequence(0).spawn(
+                       reps * group)[::group][:4]
+               ],
+               ref_scale=reps / 4)
 
-    # -- batched renewal vs frozen loop ---------------------------------
-    ren_s, ren = _time(
-        lambda: superpose_renewal(n, N_BINS, BIN_WIDTH, gap_dist=GAP_DIST,
-                                  seed=0, chunk=CHUNK),
-        repeats,
-    )
-    ren_loop_s, ren_sub = _time(
-        lambda: superpose_renewal_loop(LOOP_SAMPLE, N_BINS, BIN_WIDTH,
-                                       GAP_DIST, seed=0),
-        repeats,
-    )
-    ren_exact = superpose_renewal(LOOP_SAMPLE, N_BINS, BIN_WIDTH,
-                                  gap_dist=GAP_DIST, seed=0, chunk=CHUNK)
-    assert np.array_equal(ren_exact, ren_sub), "renewal batched != loop"
-    results["renewal_pareto"] = _per_source_row(
-        n, ren_s, LOOP_SAMPLE, ren_loop_s)
-    results["renewal_pareto"]["identity"] = "exact"
+    yield Case("renewal_pareto", n,
+               lambda: superpose_renewal(n, N_BINS, BIN_WIDTH,
+                                         gap_dist=GAP_DIST, seed=0,
+                                         chunk=CHUNK),
+               "reference.superpose_renewal_loop",
+               lambda: superpose_renewal_loop(LOOP_SAMPLE, N_BINS, BIN_WIDTH,
+                                              GAP_DIST, seed=0),
+               ref_scale=n / LOOP_SAMPLE,
+               identical=lambda loop, _: np.array_equal(
+                   loop, superpose_renewal(LOOP_SAMPLE, N_BINS, BIN_WIDTH,
+                                           gap_dist=GAP_DIST, seed=0,
+                                           chunk=CHUNK)))
 
-    # -- shared-memory fan-out: metadata-only transfer, bit-identical ---
     # Wide aggregate (20k bins -> 160 KB partial per chunk task): with
-    # pickle-everything fan-out each task's partial would ride back through
-    # the executor; here only the metadata dicts do.
-    n_shared, shared_bins, shared_w = 2_048, 20_000, 0.05
-    shared_chunk = 256
-    n_tasks = -(-n_shared // shared_chunk)
-    rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    meta_serial: list = []
-    serial = superpose_onoff(n_shared, shared_bins, shared_w, source=SOURCE,
-                             seed=3, chunk=shared_chunk, jobs=1,
-                             meta=meta_serial)
-    meta_jobs: list = []
-    shared_s, fanned = _time(
-        lambda: superpose_onoff(n_shared, shared_bins, shared_w,
-                                source=SOURCE, seed=3, chunk=shared_chunk,
-                                jobs=2, meta=meta_jobs),
-        1,
-    )
-    assert np.array_equal(serial, fanned), "jobs=2 != serial"
-    rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    meta_bytes = len(pickle.dumps(meta_jobs[-n_tasks:]))
-    buffer_bytes = n_tasks * shared_bins * 8
-    results["shared_pool"] = {
-        "case_s": round(shared_s, 6),
-        "n_sources": n_shared,
-        "n_bins": shared_bins,
-        "jobs": 2,
-        "meta_bytes": meta_bytes,
-        "buffer_bytes": buffer_bytes,
-        # bytes through pickle per byte of partial aggregate: the
-        # no-array-pickling contract, checked as a structural ratio.
-        "ratio": round(meta_bytes / buffer_bytes, 8),
-        "parent_rss_peak_kb": int(rss_after),
-        "parent_rss_delta_kb": int(rss_after - rss_before),
-        "identity": "exact",
-    }
+    # pickle-everything fan-out each task's partial would ride back
+    # through the executor; here only the metadata dicts may.
+    n_shared, shared_bins, shared_w, shared_chunk = 2_048, 20_000, 0.05, 256
+    buffer_bytes = -(-n_shared // shared_chunk) * shared_bins * 8
 
-    for name, row in results.items():
-        extra = (f"speedup {row['speedup_x']:8.2f}x"
-                 if "speedup_x" in row else
-                 f"meta/buffer {row['ratio']:.2e}")
-        print(f"{name:16s} {row['case_s']:9.4f}s  ratio {row['ratio']:10.5f}"
-              f"  {extra}")
-    return results
+    def shared(jobs, meta=None):
+        return superpose_onoff(n_shared, shared_bins, shared_w,
+                               source=SOURCE, seed=3, chunk=shared_chunk,
+                               jobs=jobs, meta=meta)
 
+    def fanned():
+        meta: list = []
+        out = shared(2, meta)
+        meta_ratio = len(pickle.dumps(meta)) / buffer_bytes
+        if meta_ratio > META_RATIO_MAX:
+            raise AssertionError(f"shared pool pickled {meta_ratio:.3g} "
+                                 f"bytes per partial-aggregate byte")
+        return out
 
-def check_against(baseline_path, scale, results, factor=1.5):
-    """Fail when any case's normalized ratio regressed past ``factor`` x
-    the recorded one (machine speed cancels)."""
-    payload = json.loads(Path(baseline_path).read_text())
-    base = payload.get("scales", {}).get(scale)
-    if base is None:
-        raise SystemExit(f"baseline {baseline_path} has no '{scale}' scale")
-    failures = []
-    for name, now in results.items():
-        then = base.get(name)
-        if then is None:
-            continue  # new case: no baseline yet
-        if now["case_s"] < 0.005 and now["ratio"] <= then["ratio"]:
-            continue  # timer-resolution noise, and not slower anyway
-        if now["ratio"] > factor * then["ratio"]:
-            failures.append(
-                f"{name}: normalized ratio {now['ratio']:.5f} exceeds "
-                f"{factor}x baseline {then['ratio']:.5f}"
-            )
-    if failures:
-        raise SystemExit("superpose benchmark regressions:\n  "
-                         + "\n  ".join(failures))
-    print(f"check passed: no case slower than {factor}x its recorded ratio")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("small", "full"), default="small")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(Path(__file__).parent
-                                             / "BENCH_superpose.json"))
-    parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against a recorded baseline and fail "
-                             "on >1.5x normalized regressions")
-    args = parser.parse_args(argv)
-
-    results = run_suite(args.scale, args.repeats)
-    if args.check:
-        check_against(args.check, args.scale, results)
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    payload = (json.loads(out.read_text())
-               if out.exists()
-               else {"script": "benchmarks/bench_superpose.py"})
-    payload.setdefault("scales", {})[args.scale] = results
-    payload["repeats"] = args.repeats
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-
+    yield Case("shared_pool", n_shared, fanned, "jobs=1",
+               lambda: shared(1), identical=np.array_equal)
 
 if __name__ == "__main__":
-    main()
+    harness.main(__file__, superpose_cases)

@@ -5,31 +5,25 @@ Two faces, mirroring ``bench_kernels.py``:
 * **pytest-benchmark micro-tests** (run with
   ``pytest benchmarks/bench_traces.py --benchmark-only``) timing trace
   construction and I/O on their own;
-* **a CLI** (``PYTHONPATH=src python benchmarks/bench_traces.py``) that
-  times the columnar read/write/construct paths against the frozen
-  pre-columnar record loops from :mod:`repro.kernels.reference`, verifies
-  the equivalence claim for each (byte-identical files, column-identical
-  traces), and records the baseline in ``BENCH_traces.json``.
-  ``--check BASELINE`` compares the *normalized* ratio
-  ``columnar/loop`` against the recorded one and fails when any path
-  regressed past 1.5x — machine-independent, so CI can enforce it on
-  whatever hardware it gets.
+* **a CLI** (``PYTHONPATH=src python benchmarks/bench_traces.py``, see
+  :mod:`harness`) that times the columnar read/write/construct paths
+  against the frozen pre-columnar record loops from
+  :mod:`repro.kernels.reference`, re-verifies the equivalence contract of
+  each (byte-identical files, column-identical traces), and records
+  ``columnar/loop`` ratios in ``BENCH_traces.json``; ``--check BASELINE``
+  fails when a contract breaks or a ratio regressed past 1.5x.
 
-The ``full`` scale reads a 1M-row packet trace: the PR's acceptance
-criterion is a >=10x columnar read speedup at that size.
+The ``full`` scale reads a 1M-row packet trace, where the columnar read
+is about 10x faster than the record loop.
 """
 
-import argparse
-import json
-import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
+import harness
+from harness import Case
 from repro.kernels import reference as ref
 from repro.traces.io import (
     read_connection_trace,
@@ -134,24 +128,12 @@ def test_trace_connection_read_columnar(benchmark, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# CLI: record-loop vs columnar baseline for BENCH_traces.json
+# CLI: columnar paths against the record loops (BENCH_traces.json)
 # ----------------------------------------------------------------------
-def _time(fn, repeats):
-    best = np.inf
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
-def trace_cases(scale, tmpdir):
-    """Yield (name, n, loop_fn, columnar_fn, identical_fn, identity)."""
+def trace_cases(scale):
+    """Each columnar path against its frozen record loop, with the
+    equivalence contract it keeps."""
     full = scale == "full"
-    tmpdir = Path(tmpdir)
-
-    # The acceptance target: a 1M-row packet trace at full scale.
     n_pkt = 1_000_000 if full else 100_000
     n_conn = 300_000 if full else 50_000
 
@@ -162,131 +144,58 @@ def trace_cases(scale, tmpdir):
     conn_trace = ConnectionTrace.from_arrays("bench", **conn_arrays)
     conn_records = _records_of(conn_trace)
 
-    yield ("packet_construct", n_pkt,
-           lambda: PacketTrace("bench", pkt_records),
-           lambda: PacketTrace.from_arrays("bench", **pkt_arrays),
-           _pkt_traces_equal,
-           "record list and from_arrays build column-identical traces")
+    # record list and from_arrays build column-identical traces
+    yield Case("packet_construct", n_pkt,
+               lambda: PacketTrace.from_arrays("bench", **pkt_arrays),
+               "PacketTrace(records)",
+               lambda: PacketTrace("bench", pkt_records),
+               identical=_pkt_traces_equal)
+    yield Case("connection_construct", n_conn,
+               lambda: ConnectionTrace.from_arrays("bench", **conn_arrays),
+               "ConnectionTrace(records)",
+               lambda: ConnectionTrace("bench", conn_records),
+               identical=_conn_traces_equal)
 
-    yield ("connection_construct", n_conn,
-           lambda: ConnectionTrace("bench", conn_records),
-           lambda: ConnectionTrace.from_arrays("bench", **conn_arrays),
-           _conn_traces_equal,
-           "record list and from_arrays build column-identical traces")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmpdir = Path(tmp)
 
-    pkt_loop_path = tmpdir / "pkt-loop.txt"
-    pkt_col_path = tmpdir / "pkt-col.txt"
-    yield ("packet_write", n_pkt,
-           lambda: ref.write_packet_trace_loop(pkt_trace, pkt_loop_path),
-           lambda: write_packet_trace(pkt_trace, pkt_col_path),
-           lambda loop, vec: (pkt_loop_path.read_bytes()
-                              == pkt_col_path.read_bytes()),
-           "batched writer emits a byte-identical file")
+        # the batched writers emit byte-identical files
+        pkt_loop_path = tmpdir / "pkt-loop.txt"
+        pkt_col_path = tmpdir / "pkt-col.txt"
+        yield Case("packet_write", n_pkt,
+                   lambda: write_packet_trace(pkt_trace, pkt_col_path),
+                   "reference.write_packet_trace_loop",
+                   lambda: ref.write_packet_trace_loop(pkt_trace,
+                                                       pkt_loop_path),
+                   identical=lambda loop, col: (pkt_loop_path.read_bytes()
+                                                == pkt_col_path.read_bytes()))
+        conn_loop_path = tmpdir / "conn-loop.txt"
+        conn_col_path = tmpdir / "conn-col.txt"
+        yield Case("connection_write", n_conn,
+                   lambda: write_connection_trace(conn_trace, conn_col_path),
+                   "reference.write_connection_trace_loop",
+                   lambda: ref.write_connection_trace_loop(conn_trace,
+                                                           conn_loop_path),
+                   identical=lambda loop, col: (
+                       conn_loop_path.read_bytes()
+                       == conn_col_path.read_bytes()))
 
-    conn_loop_path = tmpdir / "conn-loop.txt"
-    conn_col_path = tmpdir / "conn-col.txt"
-    yield ("connection_write", n_conn,
-           lambda: ref.write_connection_trace_loop(conn_trace, conn_loop_path),
-           lambda: write_connection_trace(conn_trace, conn_col_path),
-           lambda loop, vec: (conn_loop_path.read_bytes()
-                              == conn_col_path.read_bytes()),
-           "batched writer emits a byte-identical file")
-
-    pkt_path = tmpdir / "pkt.txt"
-    write_packet_trace(pkt_trace, pkt_path)
-    yield ("packet_read", n_pkt,
-           lambda: ref.read_packet_trace_loop(pkt_path),
-           lambda: read_packet_trace(pkt_path),
-           _pkt_traces_equal,
-           "batched reader returns a column-identical trace")
-
-    conn_path = tmpdir / "conn.txt"
-    write_connection_trace(conn_trace, conn_path)
-    yield ("connection_read", n_conn,
-           lambda: ref.read_connection_trace_loop(conn_path),
-           lambda: read_connection_trace(conn_path),
-           _conn_traces_equal,
-           "batched reader returns a column-identical trace")
-
-
-def run_suite(scale, repeats):
-    results = {}
-    with tempfile.TemporaryDirectory() as tmpdir:
-        for case in trace_cases(scale, tmpdir):
-            name, n, loop_fn, col_fn, identical_fn, identity = case
-            loop_s, loop_out = _time(loop_fn, repeats)
-            col_s, col_out = _time(col_fn, repeats)
-            identical = bool(identical_fn(loop_out, col_out))
-            results[name] = {
-                "n": int(n),
-                "loop_s": round(loop_s, 6),
-                "columnar_s": round(col_s, 6),
-                "speedup": round(loop_s / col_s, 2) if col_s > 0 else None,
-                "identical": identical,
-                "identity": identity,
-            }
-            print(f"{name:24s} n={n:>9d}  loop {loop_s:9.4f}s  "
-                  f"col {col_s:9.4f}s  x{loop_s / col_s:8.1f}  "
-                  f"{'OK' if identical else 'MISMATCH'}")
-    return results
-
-
-def check_against(baseline_path, scale, results, factor=1.5):
-    """Fail when any path's columnar/loop ratio regressed past ``factor`` x
-    the recorded one (normalized, so machine speed cancels)."""
-    payload = json.loads(Path(baseline_path).read_text())
-    base = payload.get("scales", {}).get(scale)
-    if base is None:
-        raise SystemExit(f"baseline {baseline_path} has no '{scale}' scale")
-    failures = []
-    for name, now in results.items():
-        if not now["identical"]:
-            failures.append(f"{name}: equivalence check failed")
-            continue
-        then = base.get(name)
-        if then is None:
-            continue  # new case: no baseline yet
-        ratio_now = now["columnar_s"] / now["loop_s"]
-        ratio_then = then["columnar_s"] / then["loop_s"]
-        if now["columnar_s"] < 0.005 and ratio_now < 1.0:
-            # Sub-5ms paths sit at timer resolution: their ratio is all
-            # jitter.  As long as they still beat the loop, they pass.
-            continue
-        if ratio_now > factor * ratio_then:
-            failures.append(
-                f"{name}: columnar/loop ratio {ratio_now:.4f} exceeds "
-                f"{factor}x baseline {ratio_then:.4f}"
-            )
-    if failures:
-        raise SystemExit("trace benchmark regressions:\n  "
-                         + "\n  ".join(failures))
-    print(f"check passed: no path slower than {factor}x its recorded ratio")
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("small", "full"), default="small")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(Path(__file__).parent
-                                             / "BENCH_traces.json"))
-    parser.add_argument("--check", metavar="BASELINE",
-                        help="compare against a recorded baseline and fail "
-                             "on >1.5x normalized regressions")
-    args = parser.parse_args(argv)
-
-    results = run_suite(args.scale, args.repeats)
-    if args.check:
-        check_against(args.check, args.scale, results)
-
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    payload = (json.loads(out.read_text())
-               if out.exists() else {"script": "benchmarks/bench_traces.py"})
-    payload.setdefault("scales", {})[args.scale] = results
-    payload["repeats"] = args.repeats
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+        # the batched readers return column-identical traces
+        pkt_path = tmpdir / "pkt.txt"
+        write_packet_trace(pkt_trace, pkt_path)
+        yield Case("packet_read", n_pkt,
+                   lambda: read_packet_trace(pkt_path),
+                   "reference.read_packet_trace_loop",
+                   lambda: ref.read_packet_trace_loop(pkt_path),
+                   identical=_pkt_traces_equal)
+        conn_path = tmpdir / "conn.txt"
+        write_connection_trace(conn_trace, conn_path)
+        yield Case("connection_read", n_conn,
+                   lambda: read_connection_trace(conn_path),
+                   "reference.read_connection_trace_loop",
+                   lambda: ref.read_connection_trace_loop(conn_path),
+                   identical=_conn_traces_equal)
 
 
 if __name__ == "__main__":
-    main()
+    harness.main(__file__, trace_cases)

@@ -284,23 +284,29 @@ def scan_trace(
     outcomes = pool_map(
         scan_chunk, [(c, cfg) for c in chunks], jobs, on_result=progress
     )
+    def failed(chunk):
+        return RuntimeError(f"chunk {chunk.index} [{chunk.start}, "
+                            f"{chunk.end}) of {path} failed")
+
     for chunk, outcome in zip(chunks, outcomes):
         if isinstance(outcome, Exception):
-            raise RuntimeError(
-                f"chunk {chunk.index} [{chunk.start}, {chunk.end}) of "
-                f"{path} failed"
-            ) from outcome
+            raise failed(chunk) from outcome
 
-    # Merge in chunk order — the order contract the sketches rely on.
+    # Merge in chunk order — the order contract the sketches rely on (a
+    # chunk that starts before its predecessor ends fails the merge).
     total, per_proto, metrics = outcomes[0]
     all_metrics = [metrics]
-    for part_total, part_proto, part_metrics in outcomes[1:]:
-        total.merge(part_total)
-        for proto, part in part_proto.items():
-            if proto in per_proto:
-                per_proto[proto].merge(part)
-            else:
-                per_proto[proto] = part
+    for chunk, (part_total, part_proto, part_metrics) in zip(
+            chunks[1:], outcomes[1:]):
+        try:
+            total.merge(part_total)
+            for proto, part in part_proto.items():
+                if proto in per_proto:
+                    per_proto[proto].merge(part)
+                else:
+                    per_proto[proto] = part
+        except ValueError as exc:
+            raise failed(chunk) from exc
         all_metrics.append(part_metrics)
 
     return ScanReport(

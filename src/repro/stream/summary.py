@@ -17,7 +17,9 @@ chunks, ``merge`` is called left-to-right in chunk order.  That lets the
 summary chain interarrivals exactly across every boundary — the gap between
 chunk A's last packet and chunk B's first is fed to the interarrival
 sketches during the merge, so a sharded scan sees the *identical* multiset
-of interarrivals as a sequential one.
+of interarrivals as a sequential one.  Both check the contract: a time that
+goes backwards raises ``ValueError`` rather than entering the sketches as a
+negative interarrival.
 """
 
 from __future__ import annotations
@@ -72,10 +74,22 @@ class StreamSummary:
     # ------------------------------------------------------------------
     def update(self, times, sizes=None) -> None:
         """Fold in one time-sorted batch (times ascending within/between
-        batches of the same stream segment)."""
+        batches of the same stream segment).
+
+        Raises ``ValueError``, before any sketch is touched, when time
+        goes backwards inside the batch or from the previous batch.
+        """
         t = np.asarray(times, dtype=float)
         if t.size == 0:
             return
+        gaps = np.diff(t)
+        if self.last_time is not None:
+            gaps = np.concatenate([[t[0] - self.last_time], gaps])
+        if gaps.size and gaps.min() < 0:
+            i = int(np.argmax(gaps < 0)) + t.size - gaps.size
+            before = self.last_time if i == 0 else t[i - 1]
+            raise ValueError(f"time goes backwards at batch index {i}: "
+                             f"{float(t[i])!r} after {float(before)!r}")
         sz = None if sizes is None else np.asarray(sizes, dtype=float)
         self.counts.update(t)
         if self.bytes is not None:
@@ -84,9 +98,6 @@ class StreamSummary:
             self.size_moments.update(sz)
             self.size_log2.update(sz)
             self.size_tail.update(sz)
-        gaps = np.diff(t)
-        if self.last_time is not None:
-            gaps = np.concatenate([[t[0] - self.last_time], gaps])
         if gaps.size:
             self.gap_moments.update(gaps)
             self.gap_quantiles.update(gaps)
@@ -98,13 +109,18 @@ class StreamSummary:
 
     # ------------------------------------------------------------------
     def merge(self, other: "StreamSummary") -> None:
-        """Absorb ``other``, which must cover the *later* stream segment."""
+        """Absorb ``other``, which must cover the *later* stream segment;
+        raises ``ValueError`` when it starts before this one ends."""
         if other.config != self.config:
             raise ValueError("cannot merge summaries with different configs")
         if other.n == 0:
             return
         if self.n and other.first_time is not None:
             boundary = other.first_time - self.last_time
+            if boundary < 0:
+                raise ValueError(
+                    f"time goes backwards at the merge boundary: "
+                    f"{other.first_time!r} after {self.last_time!r}")
             self.gap_moments.update([boundary])
             self.gap_quantiles.update([boundary])
             self.gap_tail.update([boundary])

@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.distributions.pareto import tail_fit
 from repro.selfsim.counts import CountProcess
 from repro.stream import (
+    StreamSummary,
     SummaryConfig,
     iter_trace_batches,
     plan_chunks,
@@ -302,6 +303,50 @@ class TestScanReport:
         p.write_text("#repro-packets v1\n1.0 TELNET 1 0 1 0\ngarbage\n")
         with pytest.raises(RuntimeError, match="chunk"):
             scan_trace(p)
+
+
+class TestTimeOrder:
+    """Time going backwards is an error, never a negative interarrival."""
+
+    def test_swapped_records_fail_the_scan(self, tmp_path):
+        path = tmp_path / "swapped.txt"
+        write_stream_trace(path, n_packets=20_000, seed=0)
+        lines = path.read_text().splitlines(keepends=True)
+        header = sum(line.startswith("#") for line in lines)
+        i, j = header + 5_000, header + 12_000  # records 5,001 and 12,001
+        lines[i], lines[j] = lines[j], lines[i]
+        path.write_text("".join(lines))
+        with pytest.raises(RuntimeError, match="chunk 0") as err:
+            scan_trace(path)
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "time goes backwards" in str(err.value.__cause__)
+
+    def test_update_and_merge_check_order_before_any_sketch(self, config):
+        summary = StreamSummary(config)
+        summary.update([1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
+        state = (summary.n, summary.counts.n_events,
+                 summary.gap_moments.n, summary.gap_moments.min,
+                 summary.size_moments.n, summary.last_time)
+        with pytest.raises(ValueError,
+                           match=r"batch index 2: 1\.5 after 4\.0"):
+            summary.update([3.5, 4.0, 1.5], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError,
+                           match=r"batch index 0: 2\.5 after 3\.0"):
+            summary.update([2.5, 5.0], [1.0, 1.0])
+        earlier = StreamSummary(config)
+        earlier.update([2.0, 6.0])
+        with pytest.raises(ValueError,
+                           match=r"merge boundary: 2\.0 after 3\.0"):
+            summary.merge(earlier)
+        assert (summary.n, summary.counts.n_events,
+                summary.gap_moments.n, summary.gap_moments.min,
+                summary.size_moments.n, summary.last_time) == state
+
+        tied = StreamSummary(config)  # equal times are in order
+        tied.update([3.0, 7.0])
+        summary.merge(tied)
+        summary.update([7.0, 8.0])
+        assert summary.n == 7 and summary.gap_moments.min == 0.0
 
 
 class TestConnectionScan:
