@@ -14,7 +14,10 @@ Two faces, mirroring ``bench_kernels.py``:
   fails when a contract breaks or a ratio regressed past 1.5x.
 
 The ``full`` scale reads a 1M-row packet trace, where the columnar read
-is about 10x faster than the record loop.
+is about 10x faster than the record loop.  ``packet_read`` times the
+whole-file read and ``packet_scan`` the chunked one (``iter_trace_batches``
+in 1 MiB blocks, as the stream scan, replay, monitor and policing detector
+read a file); both run the one v1 parser of :mod:`repro.stream.reader`.
 """
 
 import tempfile
@@ -25,6 +28,8 @@ import numpy as np
 import harness
 from harness import Case
 from repro.kernels import reference as ref
+from repro.stream.reader import iter_trace_batches
+from repro.traces.columns import concat_packet_batches
 from repro.traces.io import (
     read_connection_trace,
     read_packet_trace,
@@ -36,6 +41,9 @@ from repro.traces.trace import ConnectionTrace, PacketTrace
 PROTOCOLS = np.array(
     ["TELNET", "FTP", "FTPDATA", "SMTP", "NNTP", "OTHER"], dtype=object
 )
+
+#: Block size of the chunked-read case: several blocks at either scale.
+SCAN_BLOCK_BYTES = 1 << 20
 
 
 def _packet_arrays(n, seed=0):
@@ -188,6 +196,14 @@ def trace_cases(scale):
                    "reference.read_packet_trace_loop",
                    lambda: ref.read_packet_trace_loop(pkt_path),
                    identical=_pkt_traces_equal)
+        # the chunked framing the out-of-core scanners read through
+        yield Case("packet_scan", n_pkt,
+                   lambda: list(iter_trace_batches(
+                       pkt_path, "packet", block_bytes=SCAN_BLOCK_BYTES)),
+                   "reference.read_packet_trace_loop",
+                   lambda: ref.read_packet_trace_loop(pkt_path),
+                   identical=lambda loop, batches: _pkt_traces_equal(
+                       loop, concat_packet_batches(batches)))
         conn_path = tmpdir / "conn.txt"
         write_connection_trace(conn_trace, conn_path)
         yield Case("connection_read", n_conn,

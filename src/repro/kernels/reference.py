@@ -25,7 +25,6 @@ from repro.selfsim.rs_analysis import rescaled_range
 from repro.traces.io import (
     CONN_HEADER,
     PKT_HEADER,
-    _expect_header,
     _name_from,
     format_connection_line,
     format_packet_line,
@@ -351,6 +350,14 @@ def write_connection_trace_loop(trace, path):
         fh.write(CONN_HEADER + "\n")
         for i in range(len(trace)):
             fh.write(format_connection_line(trace.record(i)) + "\n")
+
+
+def _expect_header(fh, expected, path):
+    header = fh.readline().rstrip("\n")
+    if header != expected:
+        raise ValueError(
+            f"{path}: bad header {header!r}; expected {expected!r}"
+        )
 
 
 def read_connection_trace_loop(path, name=None):

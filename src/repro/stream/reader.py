@@ -1,11 +1,23 @@
-"""Batched out-of-core readers for the v1 text trace formats.
+"""The one parser of the v1 text trace formats, and its two framings.
 
-``iter_chunk_batches`` walks one :class:`~repro.stream.chunks.Chunk` and
-yields column-oriented record batches (numpy arrays), holding at most one
-read block (~``block_bytes``) of text plus one batch of arrays in memory —
-never the trace.  The fast path parses a whole block with a single
-``str.split`` and strided array construction instead of per-line splitting,
-which is what makes a pure-python scan run at millions of rows per second.
+Each kind's v1 line is written down once, in :data:`_FORMATS`: its header
+and a structured row dtype whose fields are named as the batch columns.
+``np.loadtxt``'s C tokenizer parses every field; the protocol field is
+``object``, so a protocol name of any width reads whole.  Two framings
+share that parse:
+
+* **whole file** — :func:`read_packet_columns` and
+  :func:`read_connection_columns` hand ``np.loadtxt`` the path (one call;
+  ``.gz`` paths decompress transparently), then intern the protocols;
+* **chunked** — :func:`iter_chunk_batches` walks one
+  :class:`~repro.stream.chunks.Chunk` in whole-line blocks of about
+  ``block_bytes`` and yields one column batch per block, holding at most
+  one block of text plus one batch of arrays in memory, never the trace.
+
+Both check the header with one helper that reads the first line as bytes,
+and both wrap every parse failure — a wrong field count, a value that does
+not fit its field, bytes that are not UTF-8 — in one ``ValueError`` that
+says ``malformed`` and names the file (and the chunk and block).
 
 Batches are intentionally *not* :class:`PacketTrace` objects: they are flat
 columns fed straight into the mergeable accumulators of
@@ -14,23 +26,16 @@ columns fed straight into the mergeable accumulators of
 
 from __future__ import annotations
 
-import gzip
+import io
 import os
 import warnings
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.stream.chunks import Chunk, plan_chunks
-from repro.traces.columns import (
-    MAX_PROTOCOLS,
-    PROTOCOL_CODE_DTYPE,
-    ConnectionBatch,
-    PacketBatch,
-    concat_connection_batches,
-    concat_packet_batches,
-)
-from repro.traces.io import CONN_HEADER, PKT_HEADER
+from repro.traces.columns import ConnectionBatch, PacketBatch, encode_protocols
+from repro.traces.io import CONN_HEADER, PKT_HEADER, open_trace
 
 __all__ = [
     "ConnectionBatch", "PacketBatch", "DEFAULT_BLOCK_BYTES", "sniff_kind",
@@ -41,122 +46,129 @@ __all__ = [
 #: Bytes of text parsed per yielded batch.
 DEFAULT_BLOCK_BYTES = 8 * 1024 * 1024
 
-_PKT_FIELDS = 6
-_CONN_FIELDS = 8
+#: Text encoding of a trace file.  Blocks end at a newline byte, which
+#: never falls inside a UTF-8 character.
+_ENCODING = "utf-8"
 
-#: Fixed protocol-token width of the whole-file fast path.  Tokens that
-#: fill the field completely may have been truncated, and drop that read
-#: onto the width-agnostic batched path instead.
-_TOKEN_BYTES = 32
+#: Most bytes read while looking for the header line: past every v1
+#: header, so a file without a newline is never read whole.
+_HEADER_PROBE = 64
 
-#: One v1 text line per kind, as a structured row for ``np.loadtxt``'s
-#: C tokenizer — the whole-file fast path parses every field in C.
-_PKT_ROW_DTYPE = np.dtype([
-    ("timestamp", "f8"),
-    ("protocol", f"S{_TOKEN_BYTES}"),
-    ("connection_id", "i8"),
-    ("direction", "i1"),
-    ("size", "i8"),
-    ("user_data", "i1"),
-])
-_CONN_ROW_DTYPE = np.dtype([
-    ("start_time", "f8"),
-    ("duration", "f8"),
-    ("protocol", f"S{_TOKEN_BYTES}"),
-    ("bytes_orig", "i8"),
-    ("bytes_resp", "i8"),
-    ("orig_host", "i8"),
-    ("resp_host", "i8"),
-    ("session_id", "i8"),
-])
+
+class _Format(NamedTuple):
+    header: str
+    batch: type
+    row: np.dtype
+
+
+_FORMATS = {
+    "packet": _Format(PKT_HEADER, PacketBatch, np.dtype([
+        ("timestamps", "f8"),
+        ("protocols", "O"),
+        ("connection_ids", "i8"),
+        ("directions", "i1"),
+        ("sizes", "i8"),
+        ("user_data", "?"),
+    ])),
+    "connection": _Format(CONN_HEADER, ConnectionBatch, np.dtype([
+        ("start_times", "f8"),
+        ("durations", "f8"),
+        ("protocols", "O"),
+        ("bytes_orig", "i8"),
+        ("bytes_resp", "i8"),
+        ("orig_hosts", "i8"),
+        ("resp_hosts", "i8"),
+        ("session_ids", "i8"),
+    ])),
+}
+
+
+def _format(kind: str) -> _Format:
+    try:
+        return _FORMATS[kind]
+    except KeyError:
+        raise ValueError(
+            f"kind must be 'packet' or 'connection', got {kind!r}"
+        ) from None
+
+
+def _read_header(path) -> tuple[str, int]:
+    """The file's first line, without its line end, and its length in
+    bytes with it — read as bytes, so nothing past it is decoded."""
+    with open_trace(path, "rb") as fh:
+        line = fh.readline(_HEADER_PROBE)
+    return line.rstrip(b"\r\n").decode("ascii", "replace"), len(line)
+
+
+def _check_header(path, kind: str) -> int:
+    """Bytes of the header line, after checking it names ``kind``."""
+    header, n_bytes = _read_header(path)
+    expected = _format(kind).header
+    if header != expected:
+        raise ValueError(
+            f"{path}: bad header {header!r}; expected {expected!r}"
+        )
+    return n_bytes
 
 
 def sniff_kind(path: str | os.PathLike) -> str:
     """Return ``"packet"`` or ``"connection"`` from the file's v1 header."""
-    from repro.traces.io import open_trace
-
-    with open_trace(path, "rt") as fh:
-        header = fh.readline().rstrip("\n")
-    if header == PKT_HEADER:
-        return "packet"
-    if header == CONN_HEADER:
-        return "connection"
+    header, _ = _read_header(path)
+    for kind, fmt in _FORMATS.items():
+        if header == fmt.header:
+            return kind
     raise ValueError(f"{path}: unrecognized trace header {header!r}")
 
 
-def _parse_packet_blob(blob: str, where: str) -> PacketBatch:
-    flat = blob.split()
-    if len(flat) % _PKT_FIELDS:
-        raise ValueError(
-            f"{where}: malformed packet records "
-            f"({len(flat)} fields, not a multiple of {_PKT_FIELDS})"
-        )
-    return PacketBatch(
-        timestamps=np.array(flat[0::_PKT_FIELDS], dtype=float),
-        protocols=np.array(flat[1::_PKT_FIELDS], dtype=object),
-        connection_ids=np.array(flat[2::_PKT_FIELDS], dtype=np.int64),
-        directions=np.array(flat[3::_PKT_FIELDS], dtype=np.int64).astype(np.int8),
-        sizes=np.array(flat[4::_PKT_FIELDS], dtype=np.int64),
-        user_data=np.array(flat[5::_PKT_FIELDS], dtype=np.int64).astype(bool),
-    )
+def _parse(source: str | bytes, kind: str, where: str) -> dict:
+    """Columns of ``kind`` from a whole file past its header (``source``
+    is its path) or from one block of whole lines (``source`` is bytes).
 
-
-def _parse_connection_blob(blob: str, where: str) -> ConnectionBatch:
-    flat = blob.split()
-    if len(flat) % _CONN_FIELDS:
-        raise ValueError(
-            f"{where}: malformed connection records "
-            f"({len(flat)} fields, not a multiple of {_CONN_FIELDS})"
-        )
-    return ConnectionBatch(
-        start_times=np.array(flat[0::_CONN_FIELDS], dtype=float),
-        durations=np.array(flat[1::_CONN_FIELDS], dtype=float),
-        protocols=np.array(flat[2::_CONN_FIELDS], dtype=object),
-        bytes_orig=np.array(flat[3::_CONN_FIELDS], dtype=np.int64),
-        bytes_resp=np.array(flat[4::_CONN_FIELDS], dtype=np.int64),
-        orig_hosts=np.array(flat[5::_CONN_FIELDS], dtype=np.int64),
-        resp_hosts=np.array(flat[6::_CONN_FIELDS], dtype=np.int64),
-        session_ids=np.array(flat[7::_CONN_FIELDS], dtype=np.int64),
-    )
-
-
-_PARSERS = {"packet": _parse_packet_blob, "connection": _parse_connection_blob}
-_HEADERS = {"packet": PKT_HEADER, "connection": CONN_HEADER}
-
-
-def _iter_text_blocks(chunk: Chunk, block_bytes: int) -> Iterator[str]:
-    """Yield whole-line text blocks covering exactly the chunk's bytes."""
-    if chunk.compressed:
-        fh = gzip.open(chunk.path, "rb")
-    else:
-        fh = open(chunk.path, "rb")
-        fh.seek(chunk.start)
-    remaining = None if chunk.compressed else chunk.n_bytes
-    carry = b""
+    Every failure raises one ``ValueError`` that says ``malformed`` and
+    names ``where``.
+    """
+    row = _format(kind).row
     try:
-        while True:
-            want = block_bytes if remaining is None else min(block_bytes, remaining)
-            if want == 0:
-                break
-            block = fh.read(want)
+        if isinstance(source, bytes):
+            # newline="" ends lines at \n, \r\n and \r, as the file
+            # framing's universal newlines do.
+            text, skip = io.StringIO(source.decode(_ENCODING), newline=""), 0
+        else:
+            text, skip = source, 1
+        with warnings.catch_warnings():
+            # A header-only file is a valid empty trace, not a warning.
+            warnings.simplefilter("ignore")
+            cells = np.loadtxt(text, dtype=row, comments=None, ndmin=1,
+                               skiprows=skip, encoding=_ENCODING)
+    except ValueError as exc:  # UnicodeDecodeError is one too
+        raise ValueError(f"{where}: malformed {kind} records: {exc}") from exc
+    return {name: np.ascontiguousarray(cells[name]) for name in row.names}
+
+
+def _iter_blocks(chunk: Chunk, block_bytes: int, skip: int) -> Iterator[bytes]:
+    """Yield whole-line byte blocks covering the chunk past its first
+    ``skip`` bytes."""
+    with open_trace(chunk.path, "rb") as fh:
+        fh.seek(chunk.start + skip)
+        remaining = None if chunk.compressed else chunk.n_bytes - skip
+        carry = b""
+        while remaining is None or remaining > 0:
+            block = fh.read(block_bytes if remaining is None
+                            else min(block_bytes, remaining))
             if not block:
                 break
             if remaining is not None:
                 remaining -= len(block)
             data = carry + block
-            cut = data.rfind(b"\n")
-            if cut < 0:
-                carry = data
-                continue
-            carry = data[cut + 1:]
-            yield data[: cut + 1].decode("ascii")
+            cut = data.rfind(b"\n") + 1
+            carry = data[cut:]
+            if cut:
+                yield data[:cut]
         if carry:
             # A chunk's final line always ends in a newline (chunks end at
             # line starts); a trailing fragment can only be an unterminated
             # final line of the file itself.
-            yield carry.decode("ascii")
-    finally:
-        fh.close()
+            yield carry
 
 
 def iter_chunk_batches(
@@ -166,28 +178,13 @@ def iter_chunk_batches(
     block_bytes: int = DEFAULT_BLOCK_BYTES,
 ) -> Iterator[PacketBatch | ConnectionBatch]:
     """Yield record batches for one chunk, validating the header if present."""
-    try:
-        parse = _PARSERS[kind]
-    except KeyError:
-        raise ValueError(f"kind must be 'packet' or 'connection', got {kind!r}")
-    first = chunk.has_header
-    for block_no, text in enumerate(_iter_text_blocks(chunk, block_bytes)):
-        if first:
-            first = False
-            nl = text.find("\n")
-            header = text[:nl] if nl >= 0 else text
-            if header != _HEADERS[kind]:
-                raise ValueError(
-                    f"{chunk.path}: bad header {header!r}; "
-                    f"expected {_HEADERS[kind]!r}"
-                )
-            text = text[nl + 1:] if nl >= 0 else ""
-            if not text.strip():
-                continue
+    batch = _format(kind).batch
+    skip = _check_header(chunk.path, kind) if chunk.has_header else 0
+    for block_no, block in enumerate(_iter_blocks(chunk, block_bytes, skip)):
         where = f"{chunk.path}[chunk {chunk.index}, block {block_no}]"
-        batch = parse(text, where)
-        if len(batch):
-            yield batch
+        records = batch(**_parse(block, kind, where))
+        if len(records):
+            yield records
 
 
 def iter_trace_batches(
@@ -208,125 +205,22 @@ def iter_trace_batches(
         yield from iter_chunk_batches(chunk, kind, block_bytes=block_bytes)
 
 
-# ----------------------------------------------------------------------
-# Whole-file fast path
-# ----------------------------------------------------------------------
-def _load_rows(path, header: str, dtype: np.dtype) -> np.ndarray:
-    """Header-checked one-shot parse of a whole trace file in C."""
-    from repro.traces.io import is_gzip_path, open_trace
-
-    with open_trace(path, "rt") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != header:
-            raise ValueError(
-                f"{path}: bad header {first!r}; expected {header!r}"
-            )
-        with warnings.catch_warnings():
-            # A header-only file is a valid empty trace, not a warning.
-            warnings.simplefilter("ignore")
-            if is_gzip_path(path):
-                return np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
-    # Plain files: hand loadtxt the path, not the text handle — its own
-    # buffered reader skips the Python text layer (~25% faster).
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return np.loadtxt(os.fspath(path), dtype=dtype, comments=None,
-                          ndmin=1, skiprows=1)
-
-
-def _intern_tokens(col: np.ndarray):
-    """``(codes, table)`` from a fixed-width byte token column, or None
-    when any token fills the field (possibly truncated) or is not decodable
-    — the caller then retries on the width-agnostic batched path."""
-    col = np.ascontiguousarray(col)
-    if col.size and col.view(np.uint8).reshape(col.size, -1)[:, -1].any():
-        return None
-    if col.size == 0:
-        return (np.zeros(0, dtype=PROTOCOL_CODE_DTYPE),
-                np.zeros(0, dtype=object))
-    # Vocabulary from a sparse sample, verified exactly: when the sample
-    # already saw every token (the overwhelmingly common case — a handful
-    # of protocols over millions of rows) one binary search + compare pass
-    # encodes the column; a miss falls back to a full hash dedup.
-    names = sorted(set(col[::max(col.size // 2048, 1)].tolist()))
-    table_s = np.array(names, dtype=col.dtype)
-    codes = np.minimum(np.searchsorted(table_s, col), len(names) - 1)
-    if not np.array_equal(table_s[codes], col):
-        names = sorted(set(col.tolist()))
-        table_s = np.array(names, dtype=col.dtype)
-        codes = np.searchsorted(table_s, col)
-    if len(names) > MAX_PROTOCOLS:
-        raise ValueError(
-            f"{len(names)} distinct protocols exceed the int8 code space "
-            f"({MAX_PROTOCOLS})"
-        )
-    try:
-        table = np.array([b.decode("ascii") for b in names], dtype=object)
-    except UnicodeDecodeError:
-        return None
-    return codes.astype(PROTOCOL_CODE_DTYPE), table
+def _read_columns(path, kind: str) -> dict:
+    """A whole trace file as ``from_arrays`` kwargs, protocols interned."""
+    path = os.fspath(path)
+    _check_header(path, kind)
+    columns = _parse(path, kind, path)
+    columns["protocol_codes"], columns["protocol_table"] = encode_protocols(
+        columns.pop("protocols"))
+    return columns
 
 
 def read_packet_columns(path: str | os.PathLike) -> dict:
-    """Read a whole v1 packet trace as ``PacketTrace.from_arrays`` kwargs.
-
-    All six fields are parsed by numpy's C tokenizer in one pass (~10x the
-    per-record loop at 1M rows) and the protocol column arrives already
-    interned; traces with protocol names past :data:`_TOKEN_BYTES` bytes
-    fall back to the batched block reader.
-    """
-    cells = _load_rows(path, PKT_HEADER, _PKT_ROW_DTYPE)
-    interned = _intern_tokens(cells["protocol"])
-    if interned is None:
-        batch = concat_packet_batches(list(iter_trace_batches(path, "packet")))
-        return {
-            "timestamps": batch.timestamps,
-            "protocols": batch.protocols,
-            "connection_ids": batch.connection_ids,
-            "directions": batch.directions,
-            "sizes": batch.sizes,
-            "user_data": batch.user_data,
-        }
-    codes, table = interned
-    return {
-        "timestamps": np.ascontiguousarray(cells["timestamp"]),
-        "protocol_codes": codes,
-        "protocol_table": table,
-        "connection_ids": np.ascontiguousarray(cells["connection_id"]),
-        "directions": np.ascontiguousarray(cells["direction"]),
-        "sizes": np.ascontiguousarray(cells["size"]),
-        "user_data": cells["user_data"].astype(bool),
-    }
+    """Read a whole v1 packet trace as ``PacketTrace.from_arrays`` kwargs."""
+    return _read_columns(path, "packet")
 
 
 def read_connection_columns(path: str | os.PathLike) -> dict:
     """Read a whole v1 connection trace as ``ConnectionTrace.from_arrays``
-    kwargs (see :func:`read_packet_columns`)."""
-    cells = _load_rows(path, CONN_HEADER, _CONN_ROW_DTYPE)
-    interned = _intern_tokens(cells["protocol"])
-    if interned is None:
-        batch = concat_connection_batches(
-            list(iter_trace_batches(path, "connection"))
-        )
-        return {
-            "start_times": batch.start_times,
-            "durations": batch.durations,
-            "protocols": batch.protocols,
-            "bytes_orig": batch.bytes_orig,
-            "bytes_resp": batch.bytes_resp,
-            "orig_hosts": batch.orig_hosts,
-            "resp_hosts": batch.resp_hosts,
-            "session_ids": batch.session_ids,
-        }
-    codes, table = interned
-    return {
-        "start_times": np.ascontiguousarray(cells["start_time"]),
-        "durations": np.ascontiguousarray(cells["duration"]),
-        "protocol_codes": codes,
-        "protocol_table": table,
-        "bytes_orig": np.ascontiguousarray(cells["bytes_orig"]),
-        "bytes_resp": np.ascontiguousarray(cells["bytes_resp"]),
-        "orig_hosts": np.ascontiguousarray(cells["orig_host"]),
-        "resp_hosts": np.ascontiguousarray(cells["resp_host"]),
-        "session_ids": np.ascontiguousarray(cells["session_id"]),
-    }
+    kwargs."""
+    return _read_columns(path, "connection")

@@ -46,18 +46,19 @@ def encode_protocols(protocols) -> tuple[np.ndarray, np.ndarray]:
     ``int8`` index of each row's name in it, so
     ``table[codes]`` reproduces the input exactly.
     """
-    arr = np.asarray(protocols, dtype=object)
-    # Hash-dedup + binary search beats ``np.unique``'s object-array sort by
-    # ~10x on large columns; the sorted set gives the identical table.
-    table = np.array(sorted(set(arr.tolist())), dtype=object)
-    if table.size > MAX_PROTOCOLS:
+    # A hash dedup and one dict lookup per row beat both ``np.unique``'s
+    # object-array sort and a binary search over the table.
+    names = np.asarray(protocols, dtype=object).tolist()
+    table = sorted(set(names))
+    if len(table) > MAX_PROTOCOLS:
         raise ValueError(
-            f"{table.size} distinct protocols exceed the int8 code space "
+            f"{len(table)} distinct protocols exceed the int8 code space "
             f"({MAX_PROTOCOLS})"
         )
-    codes = (np.searchsorted(table, arr) if table.size
-             else np.zeros(arr.size, dtype=np.intp))
-    return codes.astype(PROTOCOL_CODE_DTYPE), table
+    code = {name: i for i, name in enumerate(table)}
+    codes = np.fromiter(map(code.__getitem__, names),
+                        dtype=PROTOCOL_CODE_DTYPE, count=len(names))
+    return codes, np.array(table, dtype=object)
 
 
 def decode_protocols(codes: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -11,10 +11,10 @@ Paths ending in ``.gz`` are transparently compressed/decompressed by both
 the writers and the readers (and by the chunked readers in
 :mod:`repro.stream`, which share :func:`open_trace`).
 
-Both directions are columnar: the readers stream the file through
-:mod:`repro.stream.reader`'s batched block parser (whole-block ``str.split``
-+ strided column construction — the same code path as the out-of-core
-scanners) straight into ``from_arrays``, and the writers format whole
+Both directions are columnar.  The readers parse the whole file with
+:mod:`repro.stream.reader`'s one v1 parser — the parser the out-of-core
+scanners run block by block — straight into ``from_arrays``; a malformed
+file raises one ``ValueError`` that names it.  The writers format whole
 column blocks at a time instead of materializing a record object per row.
 The per-line ``format_*_line`` helpers remain the format's row-level
 definition (and the frozen reference loops in :mod:`repro.kernels.reference`
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import gzip
 import os
-from typing import IO, TextIO
+from typing import IO
 
 import numpy as np
 
@@ -44,10 +44,6 @@ from repro.traces.trace import ConnectionTrace, PacketTrace
 
 CONN_HEADER = "#repro-connections v1"
 PKT_HEADER = "#repro-packets v1"
-
-# Back-compat aliases (pre-stream-subsystem private names).
-_CONN_HEADER = CONN_HEADER
-_PKT_HEADER = PKT_HEADER
 
 #: Rows formatted per writer block (bounds transient formatting memory).
 WRITE_BLOCK_ROWS = 131072
@@ -178,14 +174,6 @@ def read_packet_trace(path: str | os.PathLike, name: str | None = None) -> Packe
     return PacketTrace.from_arrays(
         name or _name_from(path), **read_packet_columns(path)
     )
-
-
-def _expect_header(fh: TextIO, expected: str, path) -> None:
-    header = fh.readline().rstrip("\n")
-    if header != expected:
-        raise ValueError(
-            f"{path}: bad header {header!r}; expected {expected!r}"
-        )
 
 
 def _name_from(path) -> str:

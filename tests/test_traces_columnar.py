@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core.ftp import FTP_PROTOCOL_TABLE, FtpSessionModel
 from repro.core.fulltel import FullTelModel
+from repro.kernels import reference
+from repro.stream.driver import scan_trace
 from repro.stream.reader import iter_trace_batches
 from repro.traces import (
     ConnectionRecord,
@@ -26,6 +28,7 @@ from repro.traces import (
 from repro.traces.columns import (
     MAX_PROTOCOLS,
     PROTOCOL_CODE_DTYPE,
+    concat_connection_batches,
     concat_packet_batches,
     decode_protocols,
     encode_protocols,
@@ -274,7 +277,117 @@ class TestWriteReadIdentity:
         assert read_connection_trace(path).record(0).session_id is None
 
 
+PKT_HEADER = b"#repro-packets v1\n"
+CONN_HEADER = b"#repro-connections v1\n"
+PKT_LINES = [b"0.5 TELNET 1 0 99 1", b"1.5 FTP 2 1 10 0",
+             b"2.25 SMTP 3 0 512 1", b"3.0 NNTP 4 1 40 1"]
+CONN_LINES = [b"0.5 1.25 TELNET 10 20 1 2 -1", b"1.5 0.0 FTP 5 6 3 4 7",
+              b"2.25 3.5 SMTP 1 0 5 6 8"]
+#: Lines of valid packet records up to past the first 8 KiB (the size of
+#: a text-mode read-ahead), so a bad byte after them sits past it.
+PKT_FILLER = b"".join(b"%d.0 FTP %d 0 100 1\n" % (i, i) for i in range(600))
+
+#: (kind, file bytes) a v1 reader must accept.
+VALID = {
+    "long-protocol": ("packet", PKT_HEADER + b"0.5 " + b"X" * 41
+                      + b" 1 0 99 1\n1.5 TELNET 2 1 10 0\n"),
+    "crlf": ("packet", PKT_HEADER.replace(b"\n", b"\r\n")
+             + b"".join(line + b"\r\n" for line in PKT_LINES)),
+    "blank-lines": ("packet", PKT_HEADER + b"\n" + PKT_LINES[0] + b"\n\n  \n"
+                    + b"\n".join(PKT_LINES[1:]) + b"\n\n"),
+    "tabs-and-spaces": ("packet", PKT_HEADER
+                        + b"0.5\tTELNET  1 \t0 99   1\n"
+                        + b"  1.5 FTP\t\t2 1 10 0  \n"),
+    "no-final-newline": ("packet", PKT_HEADER + b"\n".join(PKT_LINES)),
+    "header-only": ("packet", PKT_HEADER),
+    "connections": ("connection", CONN_HEADER
+                    + b"".join(line + b"\n" for line in CONN_LINES)),
+}
+
+#: (kind, file bytes) every v1 reader must reject.
+HOSTILE = {
+    "two-packets-on-one-line": ("packet", PKT_HEADER + PKT_LINES[0] + b"\n"
+                                + PKT_LINES[1] + b" " + PKT_LINES[2] + b"\n"),
+    "packet-broken-across-lines": ("packet", PKT_HEADER + PKT_LINES[0]
+                                   + b"\n1.5 FTP 2\n1 10 0\n"),
+    "direction-300": ("packet", PKT_HEADER + b"0.5 TELNET 1 300 99 1\n"),
+    "five-field-packet": ("packet", PKT_HEADER + b"1.0 TELNET 1 0 1\n"),
+    "0xe9-in-line-2": ("packet", PKT_HEADER + PKT_LINES[0] + b"\n"
+                       + b"1.5 FT\xe9 2 1 10 0\n" + PKT_LINES[2] + b"\n"),
+    "0xe9-past-8KiB": ("packet", PKT_HEADER + PKT_FILLER
+                       + b"700.0 FT\xe9 2 1 10 0\n"),
+    "two-connections-on-one-line": ("connection", CONN_HEADER + CONN_LINES[0]
+                                    + b" " + CONN_LINES[1] + b"\n"),
+    "seven-field-connection": ("connection", CONN_HEADER
+                               + b"0.5 1.25 TELNET 10 20 1 2\n"),
+}
+
+PKT_COLUMNS = ("timestamps", "protocols", "connection_ids", "directions",
+               "sizes", "user_data")
+CONN_COLUMNS = ("start_times", "durations", "protocols", "bytes_orig",
+                "bytes_resp", "orig_hosts", "resp_hosts", "session_ids")
+
+
+def _columns(records, kind):
+    names = PKT_COLUMNS if kind == "packet" else CONN_COLUMNS
+    return {name: getattr(records, name) for name in names}
+
+
+def _read_stream(path, kind):
+    """``iter_trace_batches`` with blocks far smaller than the file."""
+    concat = (concat_packet_batches if kind == "packet"
+              else concat_connection_batches)
+    return _columns(concat(list(iter_trace_batches(path, block_bytes=16))),
+                    kind)
+
+
+def _read_scan(path, kind):
+    """``scan_trace`` over two chunks (one for ``.gz``), compared on what
+    its summary keeps of the columns."""
+    size = path.stat().st_size
+    summary = scan_trace(path, target_chunk_bytes=max(size // 2, 1)).summary
+    return {"n": summary.n, "bytes": summary.total_bytes,
+            "first": summary.first_time, "last": summary.last_time}
+
+
+def _read_whole(path, kind):
+    read = read_packet_trace if kind == "packet" else read_connection_trace
+    return _columns(read(path), kind)
+
+
+def _read_oracle(path, kind):
+    read = (reference.read_packet_trace_loop if kind == "packet"
+            else reference.read_connection_trace_loop)
+    return _columns(read(path), kind)
+
+
+READERS = {"iter_trace_batches": _read_stream, "scan_trace": _read_scan,
+           "read_trace": _read_whole, "oracle": _read_oracle}
+
+
+def _scan_summary(columns, kind):
+    """What ``scan_trace`` keeps of the oracle's columns."""
+    times = columns["timestamps" if kind == "packet" else "start_times"]
+    sizes = (columns["sizes"] if kind == "packet"
+             else columns["bytes_orig"] + columns["bytes_resp"])
+    return {"n": times.size, "bytes": float(sizes.sum()),
+            "first": float(times[0]) if times.size else None,
+            "last": float(times[-1]) if times.size else None}
+
+
+def _write(tmp_path, data, ext):
+    path = tmp_path / f"trace.{ext}"
+    if ext.endswith(".gz"):
+        with gzip.open(path, "wb") as fh:
+            fh.write(data)
+    else:
+        path.write_bytes(data)
+    return path
+
+
 class TestReadMatchesStreamReader:
+    """Every v1 reader parses, and rejects, a file the same way."""
+
     def _synth(self, n=5000, seed=3):
         rng = np.random.default_rng(seed)
         return PacketTrace.from_arrays(
@@ -300,19 +413,41 @@ class TestReadMatchesStreamReader:
         assert np.array_equal(trace.sizes, batch.sizes)
         assert np.array_equal(trace.user_data, batch.user_data)
 
-    def test_long_protocol_token_falls_back(self, tmp_path):
-        """Names past the fast path's fixed field width still read exactly
-        (via the width-agnostic batched path)."""
-        long_name = "X" * 80
-        path = tmp_path / "p.txt"
-        path.write_text(
-            "#repro-packets v1\n"
-            f"0.5 {long_name} 1 0 99 1\n"
-            "1.5 TELNET 2 1 10 0\n"
-        )
-        trace = read_packet_trace(path)
-        assert trace.protocols.tolist() == [long_name, "TELNET"]
-        assert trace.sizes.tolist() == [99, 10]
+    @pytest.mark.parametrize("ext", ["txt", "txt.gz"])
+    @pytest.mark.parametrize("row", VALID)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reads(self, tmp_path, reader, row, ext):
+        """A valid file reads as the oracle reads it."""
+        kind, data = VALID[row]
+        path = _write(tmp_path, data, ext)
+        expected = _read_oracle(path, kind)
+        got = READERS[reader](path, kind)
+        if reader == "scan_trace":
+            assert got == _scan_summary(expected, kind)
+            return
+        assert got.keys() == expected.keys()
+        for name, column in expected.items():
+            assert np.array_equal(got[name], column), name
+
+    @pytest.mark.parametrize("ext", ["txt", "txt.gz"])
+    @pytest.mark.parametrize("row", HOSTILE)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_rejects(self, tmp_path, reader, row, ext):
+        """A hostile file raises one ValueError that names it."""
+        kind, data = HOSTILE[row]
+        path = _write(tmp_path, data, ext)
+        with pytest.raises((ValueError, RuntimeError)) as info:
+            READERS[reader](path, kind)
+        err = info.value
+        if reader == "oracle":
+            # The frozen loop rejects the same files, in its own words.
+            assert isinstance(err, ValueError)
+            return
+        if reader == "scan_trace":
+            assert isinstance(err, RuntimeError) and str(path) in str(err)
+            err = err.__cause__
+        assert type(err) is ValueError
+        assert str(path) in str(err) and "malformed" in str(err)
 
 
 class TestColumnarSynthesisEquivalence:
